@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import (
-    PhyProfile,
-    TONE_CLASSES,
-    enumerate_configurations,
-    machines_for_configuration,
-    tx_duration_us,
-)
+from .phy import PhyProfile, class_durations, config_table
 from .scheduling import Batch, Interval, Schedule, make_schedule
 from .workload import JobSet
 
@@ -67,19 +61,6 @@ class _Station:
         return job
 
 
-class _ConfigTable:
-    """Padded per-configuration RU class indices, widest first."""
-
-    def __init__(self, channel_width):
-        self.configs = enumerate_configurations(channel_width)
-        width = max(c.total_rus for c in self.configs)
-        mat = np.full((len(self.configs), width), -1, dtype=np.int8)
-        for i, cfg in enumerate(self.configs):
-            classes = [TONE_CLASSES.index(cls) for cls in cfg.ru_classes_desc()]
-            mat[i, : len(classes)] = classes
-        self.class_mat = mat
-
-
 def greedy_benchmark(
     kind: str,
     jobs: JobSet,
@@ -94,8 +75,7 @@ def greedy_benchmark(
     phy = phy or PhyProfile()
     horizon = jobs.horizon if horizon is None else horizon
 
-    table = _ConfigTable(channel_width)
-    machine_cache = {}
+    table = config_table(channel_width)
 
     stations: dict[int, _Station] = {}
     for job in jobs.jobs:
@@ -111,15 +91,6 @@ def greedy_benchmark(
     app_releases = {a: np.array(sorted(j.release for j in jobs.jobs if j.app == a))
                     for a in apps}
     transmitted = {a: 0 for a in apps}
-
-    dur_cache: dict[int, tuple[int, ...]] = {}
-
-    def durations(size):
-        d = dur_cache.get(size)
-        if d is None:
-            d = tuple(tx_duration_us(size, c, phy) for c in TONE_CLASSES)
-            dur_cache[size] = d
-        return d
 
     def metric(job, now):
         if kind == "edf":
@@ -149,7 +120,7 @@ def greedy_benchmark(
         heads.sort(key=lambda h: (h[0], h[1]))
 
         n = len(heads)
-        dur = np.array([durations(h[3].size) for h in heads], dtype=np.int64)
+        dur = np.array([class_durations(h[3].size, phy) for h in heads], dtype=np.int64)
         limit = np.array([min(txop, h[3].deadline_abs - now) for h in heads],
                          dtype=np.int64)
         profit = np.array([h[3].profit for h in heads])
@@ -171,11 +142,6 @@ def greedy_benchmark(
             continue
         cfg_idx = int(np.argmax(round_profit == best))  # canonical tie-break
 
-        config = table.configs[cfg_idx]
-        machines = machine_cache.get(cfg_idx)
-        if machines is None:
-            machines = tuple(machines_for_configuration(config, phy))
-            machine_cache[cfg_idx] = machines
         assignments = []
         end = now
         for pos in np.nonzero(ok[cfg_idx])[0]:
@@ -187,8 +153,8 @@ def greedy_benchmark(
         batches.append(Batch(
             interval=Interval(now, end),
             assignments=tuple(sorted(assignments)),
-            machines=machines,
-            config=config,
+            machines=table.machines(cfg_idx, phy),
+            config=table.configs[cfg_idx],
         ))
         now = end + 1  # closed intervals: the next batch may not share the endpoint
 

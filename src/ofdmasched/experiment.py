@@ -14,32 +14,27 @@ import json
 import math
 import os
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .local_search import DEFAULT_TXOP_US
-from .phy import CHANNEL_WIDTHS, full_26_tone_configuration
+from .phy import CHANNEL_WIDTHS
 from .scheduling import Schedule, dump_schedule
 from .simulator import (
     CHANNEL_QUALITIES,
     ChannelScenario,
     SimulationReport,
     run_scenario,
-    validate_schedule,
+    scheduler_registry,
 )
-from .slotted import slotted_apps_from_profiles, slotted_schedule
-from .workload import USE_CASES, JobSet, dump_jobs, load_use_case, use_case_profiles
+from .workload import USE_CASES, JobSet, dump_jobs, load_use_case
 
 __all__ = ["SCHEDULERS", "CSV_HEADER", "ExperimentConfig", "MetricsRow", "run", "compare"]
 
-SCHEDULERS = ("lsds", "lsdsf", "edf", "lrf", "nlrf",
-              "slotted_optimal", "slotted_heuristic")
+SCHEDULERS = tuple(scheduler_registry())
 CSV_HEADER = ("use_case,scheduler,bandwidth_mhz,channel,seed,"
               "profit_ratio,drop_pct,critical_drop_pct,runtime_ms")
-
-DEFAULT_HEURISTIC_WINDOW_SLOTS = 10
 
 
 @dataclass(frozen=True)
@@ -67,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"channel must be one of {CHANNEL_QUALITIES}")
         if self.horizon_us <= 0 or self.txop_us <= 0 or self.reps < 1:
             raise ValueError("horizon, txop and reps must be positive")
+        if self.grid_us is not None and self.grid_us <= 0:
+            raise ValueError(f"grid_us must be positive, got {self.grid_us}")
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
                 "A bandwidth of 40 MHz cannot handle this much load: UC3 is sized "
@@ -116,47 +113,15 @@ def _metrics_from(config, jobs: JobSet, report: SimulationReport) -> MetricsRow:
     )
 
 
-def _run_slotted(config, jobs, scenario, phy):
-    """Slot-based schedulers need slot-aligned periodic applications."""
-    try:
-        apps = slotted_apps_from_profiles(use_case_profiles(config.use_case))
-    except ValueError as exc:
-        raise ValueError(
-            f"{config.use_case} cannot run under {config.scheduler}: {exc}") from exc
-    window = (None if config.scheduler == "slotted_optimal"
-              else DEFAULT_HEURISTIC_WINDOW_SLOTS)
-    eq_config = full_26_tone_configuration(config.bandwidth_mhz)
-    t0 = time.perf_counter()
-    schedule, slot_jobs = slotted_schedule(
-        apps, eq_config, config.horizon_us // 1_000, window, phy)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    violations = validate_schedule(schedule, slot_jobs, config.bandwidth_mhz,
-                                   phy, config.txop_us)
-    if violations:
-        raise RuntimeError(f"{config.scheduler} schedule infeasible: {violations[:3]}")
-    delivered = frozenset(schedule.scheduled_jobs)
-    report = SimulationReport(
-        delivered=delivered,
-        dropped=frozenset(j.id for j in slot_jobs.jobs) - delivered,
-        per_app={}, runtime_ms=runtime_ms,
-        scheduler=config.scheduler, quality=config.channel,
-    )
-    return report, schedule, slot_jobs
-
-
 def _single_run(config: ExperimentConfig) -> tuple[MetricsRow, JobSet, Schedule, SimulationReport]:
     scenario = ChannelScenario(config.channel)
-    phy = scenario.phy()
     stage = "workload"
     try:
         jobs = load_use_case(config.use_case, config.horizon_us, config.seed)
         stage = "scheduler"
-        if config.scheduler in ("slotted_optimal", "slotted_heuristic"):
-            report, schedule, jobs = _run_slotted(config, jobs, scenario, phy)
-        else:
-            report, schedule = run_scenario(
-                jobs, config.scheduler, scenario, config.bandwidth_mhz,
-                txop=config.txop_us, grid_us=config.grid_us)
+        report, schedule = run_scenario(
+            jobs, config.scheduler, scenario, config.bandwidth_mhz,
+            txop=config.txop_us, grid_us=config.grid_us)
         stage = "metrics"
         row = _metrics_from(config, jobs, report)
     except Exception as exc:

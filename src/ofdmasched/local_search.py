@@ -35,10 +35,8 @@ from .phy import (
     PhyProfile,
     RuConfiguration,
     TONE_CLASSES,
-    enumerate_configurations,
-    machines_for_configuration,
-    max_ru_counts,
-    tx_duration_us,
+    class_durations,
+    config_table,
 )
 from .scheduling import Batch, Interval, Schedule, make_schedule
 from .workload import JobSet
@@ -110,9 +108,18 @@ class _CommittedBatch:
 
 
 class _Engine:
-    def __init__(self, jobset, horizon, txop, grid_us, phy, *,
-                 fixed_classes=None, fixed_caps=None, fixed_machines=None,
-                 fixed_config=None, channel_width=None):
+    """Local search over one configuration table.
+
+    Row i of ``counts`` is configuration ``configs[i]``'s RU count per
+    class of ``classes`` (ascending); ``machines(i)`` is its machine list,
+    widest RU first. Only classes that some row gives a nonzero count
+    take part in the search.
+    """
+
+    def __init__(self, jobset, horizon, txop, grid_us, phy, classes, configs, counts,
+                 machines):
+        if grid_us <= 0:
+            raise ValueError(f"grid_us must be positive, got {grid_us}")
         if txop < grid_us:
             raise ValueError("txop shorter than one grid step")
         self.horizon = horizon
@@ -121,61 +128,40 @@ class _Engine:
         self.delta_units = min(txop // grid_us, self.t_units)
         self.phy = phy
         self.stats = LocalSearchStats()
-        self.config_mode = channel_width is not None
 
-        if self.config_mode:
-            self.classes = list(TONE_CLASSES)
-            table = max_ru_counts(channel_width)
-            caps = np.array([table[c] for c in self.classes], dtype=np.int64)
-            configs = enumerate_configurations(channel_width)
-            self.configs = configs
-            counts = np.array([c.counts for c in configs], dtype=np.int64)
-            self.cfg_counts = counts
-            self.cfg_suffix = counts[:, ::-1].cumsum(axis=1)[:, ::-1]
-            self.batch_machines_cache = {}
-        else:
-            self.classes = fixed_classes
-            caps = fixed_caps
-            self.fixed_machines = fixed_machines
-            self.fixed_config = fixed_config
-            # machine indices per class, in batch machine-list order
-            self.class_slots = [[] for _ in self.classes]
-            for idx, m in enumerate(fixed_machines):
-                self.class_slots[self.classes.index(m.tone_class)].append(idx)
-        self.caps = caps
+        active = counts.any(axis=0)
+        self.configs = configs
+        self.machines = machines
+        self.cfg_counts = counts[:, active]
+        self.cfg_suffix = self.cfg_counts[:, ::-1].cumsum(axis=1)[:, ::-1]
+        caps = self.cfg_counts.max(axis=0)  # the relaxed machine set
         self.suffix_caps = caps[::-1].cumsum()[::-1]
         self.sigma_total = int(self.suffix_caps[0])
-        self.K = len(self.classes)
+        self.K = int(active.sum())
 
-        self._build_groups(jobset)
+        self._build_groups(jobset, [TONE_CLASSES.index(c) for c in classes],
+                           np.nonzero(active)[0])
         self.batches: list[_CommittedBatch] = []  # kept sorted by t1
 
     # ---- pool construction -------------------------------------------------
 
-    def _build_groups(self, jobset):
-        dur_cache = {}
-
-        def durations(size):
-            d = dur_cache.get(size)
-            if d is None:
-                d = tuple(tx_duration_us(size, c, self.phy) for c in self.classes)
-                dur_cache[size] = d
-            return d
-
-        table = {}
+    def _build_groups(self, jobset, table_cols, active):
         members = {}
         for job in jobset.jobs:
             off = _CLIPPED if job.deadline_abs >= self.horizon else job.deadline_abs - job.release
-            key = (job.profit, durations(job.size), off)
-            grp = table.get(key)
-            if grp is None:
-                grp = table[key] = _Group(job.profit, key[1], off)
-                members[key] = []
-            members[key].append((job.release, job.id))
+            members.setdefault((job.profit, job.size, off), []).append((job.release, job.id))
+        # groups are keyed and ordered by the durations on every class of the
+        # table, which fixes the order of equal-profit jobs; the search itself
+        # only needs the active classes
+        table = {}
+        for (profit, size, off), rel_ids in members.items():
+            full = class_durations(size, self.phy)
+            table.setdefault((profit, tuple(full[c] for c in table_cols), off), []).extend(rel_ids)
         self.groups = []
         for key in sorted(table, key=lambda k: (-k[0], k[2] if k[2] != _CLIPPED else 1 << 62, k[1])):
-            grp = table[key]
-            rel_ids = sorted(members[key])
+            profit, durations, off = key
+            grp = _Group(profit, tuple(durations[c] for c in active), off)
+            rel_ids = sorted(table[key])
             grp.releases = np.array([r for r, _ in rel_ids], dtype=np.int64)
             grp.ids = np.array([i for _, i in rel_ids], dtype=np.int64)
             self.groups.append(grp)
@@ -256,8 +242,11 @@ class _Engine:
             takes.append((gi, c, lo, take))
         return value, takes
 
-    def _config_search(self, items):
-        """Best configuration for the pruned item set (vectorized stage 2)."""
+    def _config_search(self, items, value):
+        """Best configuration for the pruned item set (vectorized stage 2),
+        given its greedy ``value`` under the relaxed capacities."""
+        if len(self.configs) == 1:
+            return 0, value
         counts = np.array([t[3] for t in items], dtype=np.int64)
         profits = np.array([self.groups[t[0]].profit for t in items])
         cum_counts = np.concatenate(([0], np.cumsum(counts)))
@@ -310,12 +299,14 @@ class _Engine:
                 raise AssertionError("infeasible realization; capacity accounting bug")
         return per_class
 
-    def _commit(self, t1, t2, weight, takes, caps, class_slots, config, machines):
+    def _commit(self, t1, t2, weight, takes, row):
         # extract the selected jobs first: take positions index the pool
         # as it was when the interval was evaluated, so the pool must not
         # change (eviction re-adds included) until the slices are read
+        caps = self.cfg_counts[row]
         per_class = self._realize(takes, caps)
-        slot_cursor = [0] * self.K
+        # machines run widest first, so each class holds one block of slots
+        slot = (self.cfg_suffix[row] - caps).tolist()
         assignments = []
         pool_refs = []
         removals = {}
@@ -326,9 +317,8 @@ class _Engine:
             pool_refs.append((gi, rels.copy(), ids.copy()))
             removals.setdefault(gi, []).extend(range(lo, lo + n))
             for j in ids:
-                slot = class_slots[cls][slot_cursor[cls]]
-                slot_cursor[cls] += 1
-                assignments.append((int(j), slot))
+                assignments.append((int(j), slot[cls]))
+                slot[cls] += 1
         for gi, positions in removals.items():
             self.groups[gi].remove(np.array(sorted(positions), dtype=np.int64))
 
@@ -340,8 +330,8 @@ class _Engine:
             for gi, releases, ids in b.pool_refs:
                 self.groups[gi].add(releases, ids)
 
-        batch = _CommittedBatch(t1, t2, weight, tuple(sorted(assignments)), config,
-                                machines, pool_refs)
+        batch = _CommittedBatch(t1, t2, weight, tuple(sorted(assignments)),
+                                self.configs[row], self.machines(row), pool_refs)
         bisect.insort(self.batches, batch, key=lambda b: b.t1)
         self.stats.commits += 1
         self.stats.evictions += len(evicted)
@@ -397,38 +387,16 @@ class _Engine:
                     value1, takes1 = self._greedy(items, self.suffix_caps)
                     if value1 <= 2.0 * conflict_w:
                         continue
-                    if self.config_mode:
-                        winner, value = self._config_search(takes1)
-                        if value <= 2.0 * conflict_w:
-                            continue
-                        config = self.configs[winner]
-                        caps = self.cfg_counts[winner]
-                        machines, class_slots = self._machines_for(winner)
-                        _, takes = self._greedy(takes1, self.cfg_suffix[winner])
-                        evicted = self._commit(t1, t2, value, takes, caps,
-                                               class_slots, config, machines)
-                    else:
-                        evicted = self._commit(t1, t2, value1, takes1, self.caps,
-                                               self.class_slots, self.fixed_config,
-                                               self.fixed_machines)
-                    if evicted:
+                    winner, value = self._config_search(takes1, value1)
+                    if value <= 2.0 * conflict_w:
+                        continue
+                    _, takes = self._greedy(takes1, self.cfg_suffix[winner])
+                    if self._commit(t1, t2, value, takes, winner):
                         pos = int(idx) + 1
                         restarted = True
                         break
                 if not restarted:
                     break
-
-    def _machines_for(self, cfg_index):
-        cached = self.batch_machines_cache.get(cfg_index)
-        if cached is None:
-            config = self.configs[cfg_index]
-            machines = tuple(machines_for_configuration(config, self.phy))
-            class_slots = [[] for _ in self.classes]
-            for idx, m in enumerate(machines):
-                class_slots[self.classes.index(m.tone_class)].append(idx)
-            cached = (machines, class_slots)
-            self.batch_machines_cache[cfg_index] = cached
-        return cached
 
     def schedule(self, jobset):
         profit_of = {j.id: j.profit for j in jobset.jobs}
@@ -462,12 +430,11 @@ def lsdsf_run(
     horizon = jobs.horizon if horizon is None else horizon
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
     classes = sorted({m.tone_class for m in machines})
-    caps = np.array([sum(1 for m in machines if m.tone_class == c) for c in classes],
-                    dtype=np.int64)
+    counts = np.array([[sum(1 for m in machines if m.tone_class == c) for c in classes]],
+                      dtype=np.int64)
     ordered = tuple(sorted(machines, key=lambda m: (-int(m.tone_class), m.id)))
-    engine = _Engine(jobs, horizon, txop, grid_us, phy,
-                     fixed_classes=classes, fixed_caps=caps,
-                     fixed_machines=ordered, fixed_config=config)
+    engine = _Engine(jobs, horizon, txop, grid_us, phy, classes, (config,), counts,
+                     lambda row: ordered)
     engine.run()
     return engine.schedule(jobs), engine.stats
 
@@ -489,7 +456,9 @@ def lsds_run(
     phy = phy or PhyProfile()
     horizon = jobs.horizon if horizon is None else horizon
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
-    engine = _Engine(jobs, horizon, txop, grid_us, phy, channel_width=channel_width)
+    table = config_table(channel_width)
+    engine = _Engine(jobs, horizon, txop, grid_us, phy, TONE_CLASSES, table.configs,
+                     table.counts, lambda row: table.machines(row, phy))
     engine.run()
     return engine.schedule(jobs), engine.stats
 

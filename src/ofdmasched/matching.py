@@ -147,13 +147,6 @@ def budgeted_max_weight_matching(instance: BipartiteInstance, budget: int) -> Ma
     return best
 
 
-def admissible(job: Job, machine: Machine, interval: Interval) -> bool:
-    if job.release > interval.start:
-        return False
-    p = tx_duration(job.size, machine)
-    return interval.start + p <= min(interval.end, job.deadline_abs)
-
-
 def max_profit(
     candidates: list[Job],
     interval: Interval,

@@ -1,5 +1,9 @@
 """OFDMA resource-unit model: tone classes, legal RU configurations, PHY timing.
 
+``config_table`` and ``class_durations`` are the cached configuration
+arrays and per-class durations that the schedulers share; the validator
+and the exhaustive oracle derive theirs from ``tx_duration`` on their own.
+
 Time is kept on an integer microsecond grid throughout. Transmission
 durations are whole OFDM symbols; symbol arithmetic uses exact integer
 math so that durations never suffer float rounding at admissibility
@@ -11,6 +15,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+import numpy as np
 
 __all__ = [
     "RuToneClass",
@@ -25,7 +31,10 @@ __all__ = [
     "phy_rate",
     "tx_duration",
     "tx_duration_us",
+    "class_durations",
     "machines_for_configuration",
+    "ConfigTable",
+    "config_table",
     "full_26_tone_configuration",
     "root_tones",
 ]
@@ -192,6 +201,12 @@ def tx_duration_us(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile)
     return -(-ns // 1000) + phy.overhead_us
 
 
+@functools.lru_cache(maxsize=None)
+def class_durations(payload_bytes: int, phy: PhyProfile) -> tuple[int, ...]:
+    """``tx_duration_us`` of a payload on every tone class, ascending."""
+    return tuple(tx_duration_us(payload_bytes, c, phy) for c in TONE_CLASSES)
+
+
 def tx_duration(payload_bytes: int, machine: Machine) -> int:
     """Processing time p_ij of a payload on a machine, in microseconds."""
     return tx_duration_us(payload_bytes, machine.tone_class, machine.phy)
@@ -328,3 +343,38 @@ def machines_for_configuration(config: RuConfiguration, phy: PhyProfile) -> list
         Machine(id=i, tone_class=cls, rate=phy_rate(cls, phy), phy=phy)
         for i, cls in enumerate(config.ru_classes_desc())
     ]
+
+
+class ConfigTable:
+    """The legal configurations of one channel width, as arrays.
+
+    ``counts[i]`` holds configuration i's RU count per tone class
+    (ascending); ``class_mat[i]`` holds the tone-class index of each of
+    its RUs, widest first, padded with -1. Machine tuples are built per
+    (configuration, PHY) on first use.
+    """
+
+    def __init__(self, channel_width: int):
+        self.configs = enumerate_configurations(channel_width)
+        self.counts = np.array([c.counts for c in self.configs], dtype=np.int64)
+        width = max(c.total_rus for c in self.configs)
+        self.class_mat = np.full((len(self.configs), width), -1, dtype=np.int8)
+        for i, cfg in enumerate(self.configs):
+            classes = [TONE_CLASSES.index(cls) for cls in cfg.ru_classes_desc()]
+            self.class_mat[i, : len(classes)] = classes
+        self._machines: dict[tuple[int, PhyProfile], tuple[Machine, ...]] = {}
+
+    def machines(self, index: int, phy: PhyProfile) -> tuple[Machine, ...]:
+        """``machines_for_configuration`` of configuration ``index``."""
+        key = (index, phy)
+        machines = self._machines.get(key)
+        if machines is None:
+            machines = tuple(machines_for_configuration(self.configs[index], phy))
+            self._machines[key] = machines
+        return machines
+
+
+@functools.lru_cache(maxsize=None)
+def config_table(channel_width: int) -> ConfigTable:
+    """The shared configuration table of a channel width."""
+    return ConfigTable(channel_width)

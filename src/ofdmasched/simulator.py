@@ -158,7 +158,11 @@ class SimulationReport:
 
 
 def scheduler_registry():
-    """Name -> callable(jobs, channel_width, phy, txop, grid_us) -> Schedule."""
+    """Name -> callable(jobs, channel_width, phy, txop, grid_us) -> Schedule.
+
+    The one list of schedulers that ``run_scenario``, ``experiment`` and
+    the CLI accept.
+    """
 
     def run_lsds(jobs, width, phy, txop, grid_us):
         return lsds_run(jobs, width, phy, txop=txop, grid_us=grid_us)[0]

@@ -122,18 +122,19 @@ def slotted_jobset(apps: list[SlottedApp], horizon_slots: int) -> JobSet:
     return JobSet(jobs=tuple(jobs), horizon=horizon_us, seed=0)
 
 
-def _match_window(apps, jobset, config, phy, w_start, w_len, exclude):
-    """Match packets against the (slot, RU) grid of one window."""
+def _window_batches(jobset, config, phy, w_start, w_len, record):
+    """Match the packets not in ``record`` against the (slot, RU) grid of one
+    window, add the matched ones to ``record`` and return their batches."""
     j_rus = _check_equal_config(config)
-    machines = machines_for_configuration(config, phy)
+    machines = tuple(machines_for_configuration(config, phy))
     ru_class = machines[0].tone_class
     w_end = w_start + w_len  # exclusive
     packets = [job for job in jobset.jobs
-               if job.id not in exclude
+               if job.id not in record
                and job.release // SLOT_US < w_end
                and job.deadline_abs > w_start * SLOT_US]
     if not packets:
-        return [], machines
+        return []
     for job in packets:
         if tx_duration_us(job.size, ru_class, phy) >= SLOT_US:
             raise ValueError(f"packet of {job.size} B does not fit a slot on {config}")
@@ -150,32 +151,28 @@ def _match_window(apps, jobset, config, phy, w_start, w_len, exclude):
             weights[i, col: col + j_rus] = job.profit
             allowed[i, col: col + j_rus] = True
     rows, cols = linear_sum_assignment(weights, maximize=True)
-    assigned = [(packets[r], int(c)) for r, c in zip(rows, cols) if allowed[r, c]]
-    out = []
-    for job, col in assigned:
-        slot = w_start + col // j_rus
-        ru = col % j_rus
-        out.append((slot, ru, job))
-    return out, machines
-
-
-def _batches_from_assignment(assigned, machines, phy, config):
     by_slot: dict[int, list] = {}
-    for slot, ru, job in assigned:
-        by_slot.setdefault(slot, []).append((ru, job))
+    for r, c in zip(rows, cols):
+        if allowed[r, c]:
+            record.add(packets[r].id)
+            slot, ru = divmod(int(c), j_rus)
+            by_slot.setdefault(w_start + slot, []).append((ru, packets[r]))
     batches = []
     for slot in sorted(by_slot):
         pairs = by_slot[slot]
         t1 = slot * SLOT_US
-        end = max(t1 + tx_duration_us(job.size, machines[ru].tone_class, phy)
-                  for ru, job in pairs)
+        end = max(t1 + tx_duration_us(job.size, ru_class, phy) for _, job in pairs)
         batches.append(Batch(
             interval=Interval(t1, end),
             assignments=tuple(sorted((job.id, ru) for ru, job in pairs)),
-            machines=tuple(machines),
+            machines=machines,
             config=config,
         ))
     return batches
+
+
+def _schedule_of(batches, jobset):
+    return make_schedule(batches, {j.id: j.profit for j in jobset.jobs}), jobset
 
 
 def slotted_optimal(
@@ -188,10 +185,7 @@ def slotted_optimal(
     phy = phy or PhyProfile()
     lcm = _hyperperiod(apps)
     jobset = slotted_jobset(apps, start_slot + lcm)
-    assigned, machines = _match_window(apps, jobset, config, phy, start_slot, lcm, set())
-    batches = _batches_from_assignment(assigned, machines, phy, config)
-    schedule = make_schedule(batches, {j.id: j.profit for j in jobset.jobs})
-    return schedule, jobset
+    return _schedule_of(_window_batches(jobset, config, phy, start_slot, lcm, set()), jobset)
 
 
 def slotted_heuristic(
@@ -209,12 +203,8 @@ def slotted_heuristic(
     phy = phy or PhyProfile()
     if jobset is None:
         jobset = slotted_jobset(apps, start_slot + window_n)
-    assigned, machines = _match_window(apps, jobset, config, phy,
-                                       start_slot, window_n, scheduled_record)
-    scheduled_record.update(job.id for _, _, job in assigned)
-    batches = _batches_from_assignment(assigned, machines, phy, config)
-    schedule = make_schedule(batches, {j.id: j.profit for j in jobset.jobs})
-    return schedule, jobset
+    batches = _window_batches(jobset, config, phy, start_slot, window_n, scheduled_record)
+    return _schedule_of(batches, jobset)
 
 
 def slotted_schedule(
@@ -238,9 +228,6 @@ def slotted_schedule(
     start = 0
     while start < horizon_slots:
         w_len = min(step, horizon_slots - start)
-        assigned, machines = _match_window(apps, jobset, config, phy, start, w_len, record)
-        record.update(job.id for _, _, job in assigned)
-        batches.extend(_batches_from_assignment(assigned, machines, phy, config))
+        batches.extend(_window_batches(jobset, config, phy, start, w_len, record))
         start += w_len
-    schedule = make_schedule(batches, {j.id: j.profit for j in jobset.jobs})
-    return schedule, jobset
+    return _schedule_of(batches, jobset)

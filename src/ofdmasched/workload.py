@@ -85,6 +85,13 @@ class JobSet:
     horizon: int
     seed: int
 
+    def __post_init__(self):
+        seen = set()
+        for j in self.jobs:
+            if j.id in seen:
+                raise ValueError(f"duplicate job id {j.id}")
+            seen.add(j.id)
+
     @property
     def total_profit(self) -> float:
         return sum(j.profit for j in self.jobs)

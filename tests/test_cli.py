@@ -8,7 +8,7 @@ from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
 from ofdmasched.phy import PhyProfile
 from ofdmasched.scheduling import parse_schedule
-from ofdmasched.simulator import validate_schedule
+from ofdmasched.simulator import scheduler_registry, validate_schedule
 from ofdmasched.workload import load_use_case
 
 
@@ -91,9 +91,30 @@ def test_reps_aggregate_in_report(tmp_path):
 
 
 def test_slotted_scheduler_on_real_use_case_names_the_stage():
+    # the slotted schedulers are library functions: no use case is slot-aligned
     config = ExperimentConfig("UC2", "slotted_optimal", horizon_us=20_000)
-    with pytest.raises(RuntimeError, match="stage 'scheduler'"):
+    with pytest.raises(ValueError, match="unknown scheduler slotted_optimal"):
         run(config)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--use-case", "UC2", "--scheduler", "slotted_optimal"])
+    assert exc.value.code == 2
+    assert main(["compare", "--use-case", "UC2", "--schedulers", "edf,slotted_optimal",
+                 "--horizon-us", "20000"]) == 2
+
+
+def test_cli_scheduler_choices_are_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    usage = capsys.readouterr().out
+    choices = usage.split("--scheduler {", 1)[1].split("}", 1)[0].split(",")
+    assert choices == list(scheduler_registry())
+
+
+@pytest.mark.parametrize("grid_us", [0, -16])
+def test_cli_rejects_non_positive_grid(grid_us, capsys):
+    assert main(["run", "--use-case", "UC4", "--scheduler", "lsds",
+                 "--horizon-us", "20000", "--grid-us", str(grid_us)]) == 2
+    assert "grid_us must be positive" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

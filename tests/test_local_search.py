@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ofdmasched.exhaustive import brute_force_optimal
 from ofdmasched.local_search import lsds, lsds_run, lsdsf, lsdsf_run
 from ofdmasched.phy import (
@@ -225,3 +227,13 @@ def test_degenerate_search_space_reduces_to_fixed_config():
     assert searched.total_profit == fixed.total_profit
     assert searched.scheduled_jobs == fixed.scheduled_jobs
     assert all(b.config.counts == root.counts for b in searched.batches)
+
+
+@pytest.mark.parametrize("grid_us", [0, -16])
+def test_non_positive_grid_rejected(grid_us):
+    jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=200,
+                            profit=9.0, size=18),), horizon=192, seed=0)
+    with pytest.raises(ValueError, match="grid_us must be positive"):
+        lsds_run(jobs, 20, PHY0, txop=64, grid_us=grid_us)
+    with pytest.raises(ValueError, match="grid_us must be positive"):
+        lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=64, grid_us=grid_us)

@@ -4,6 +4,8 @@ import pytest
 
 from ofdmasched.workload import (
     ApplicationProfile,
+    Job,
+    JobSet,
     dump_jobs,
     generate_periodic,
     generate_poisson,
@@ -130,6 +132,14 @@ def test_invalid_inputs_rejected():
         generate_periodic(ApplicationProfile("bad", 2e6, 10, 10, 1_000, 1, 1), HORIZON)
     with pytest.raises(ValueError):
         load_use_case("UC9", HORIZON, seed=0)
+
+
+def test_duplicate_job_ids_rejected():
+    jobs = (Job(id=0, station=0, release=0, deadline_abs=100, profit=1.0, size=10),
+            Job(id=7, station=1, release=0, deadline_abs=100, profit=1.0, size=10),
+            Job(id=7, station=2, release=5, deadline_abs=100, profit=1.0, size=10))
+    with pytest.raises(ValueError, match="duplicate job id 7"):
+        JobSet(jobs=jobs, horizon=100, seed=0)
 
 
 def test_uniform_offset_policy_is_seeded_and_in_range():
