@@ -11,18 +11,10 @@ from .phy import (
     tx_duration,
 )
 from .workload import ApplicationProfile, Job, JobSet, load_use_case
-from .matching import (
-    BipartiteInstance,
-    Matching,
-    budgeted_max_weight_matching,
-    lsds_config_search,
-    max_profit,
-    max_weight_matching,
-)
 from .scheduling import Batch, Interval, Schedule
 from .local_search import lsds, lsdsf
 from .benchmarks import greedy_benchmark
-from .slotted import SlottedApp, slotted_heuristic, slotted_optimal, slotted_schedule
+from .slotted import SlottedApp, slotted_optimal, slotted_schedule
 from .exhaustive import brute_force_optimal
 from .simulator import (
     ChannelScenario,

@@ -12,8 +12,11 @@ admissible to some class is admissible to every faster class. Job sets
 matchable under such nested (suffix) neighborhoods form a matroid whose
 feasibility is a simple capacity condition, so a profit-ordered greedy
 over per-class counts is exact. That makes one interval evaluation a few
-binary searches per (job group, class) instead of a Hungarian solve; the
-equivalence is covered by tests against the matching module.
+binary searches per (job group, class) instead of a Hungarian solve.
+``_greedy``, ``_eval_configs`` and ``_config_search`` are that kernel, and
+``lsds_config_search`` applies it to one interval of loose jobs (the
+best-effort overlay's gap fill); tests check both against the Hungarian
+oracle in the matching module.
 
 Between commits the candidate pool is fixed, so whole start ranges are
 screened with a vectorized upper bound; only intervals whose bound beats
@@ -26,6 +29,7 @@ result is identical to the plain sequential scan.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +43,11 @@ from .phy import (
     config_table,
 )
 from .scheduling import Batch, Interval, Schedule, make_schedule
-from .workload import JobSet
+from .workload import Job, JobSet
 
 __all__ = [
     "LocalSearchStats",
+    "lsds_config_search",
     "default_grid_us",
     "lsdsf",
     "lsdsf_run",
@@ -70,6 +75,125 @@ class LocalSearchStats:
     commits: int = 0
     evictions: int = 0
     commit_log: list[tuple[float, float]] = field(default_factory=list)
+
+
+# ---- the nested-capacity kernel --------------------------------------------
+#
+# An item is ``(profit, c_min, count, ref)``: ``count`` interchangeable
+# jobs of one profit that fit RU class ``c_min`` and every wider class;
+# ``ref`` is the caller's handle on them. A row of suffix capacities holds,
+# per class k (ascending), the number of RUs of class k or wider.
+
+
+def _suffix(counts):
+    """Suffix capacities of per-class counts (along the last axis)."""
+    return counts[..., ::-1].cumsum(axis=-1)[..., ::-1]
+
+
+def _greedy(items, suffix_caps):
+    """Profit-ordered selection under nested class capacities (exact).
+
+    ``items`` must come in descending profit. Returns the total profit and
+    the takes, as items whose count is the number taken.
+    """
+    avail = suffix_caps.tolist()
+    value = 0.0
+    takes = []
+    for profit, c, count, ref in items:
+        room = min(avail[: c + 1])
+        if room <= 0:
+            continue
+        take = min(count, room)
+        for k in range(c + 1):
+            avail[k] -= take
+        value += profit * take
+        takes.append((profit, c, take, ref))
+    return value, takes
+
+
+def _eval_configs(items, suffix_rows):
+    """``_greedy``'s value of ``items`` under each row of ``suffix_rows``."""
+    rem = suffix_rows.copy()
+    values = np.zeros(len(suffix_rows))
+    for profit, c, count, _ in items:
+        room = rem[:, : c + 1].min(axis=1)
+        take = np.minimum(count, room)
+        values += profit * take
+        rem[:, : c + 1] -= take[:, None]
+    return values
+
+
+def _config_search(items, value, suffix_rows):
+    """Row of ``suffix_rows`` with the highest greedy value of ``items``,
+    the first such row on ties, and that value; ``value`` is the items'
+    greedy value under capacities no row exceeds."""
+    if len(suffix_rows) == 1 or not items:
+        return 0, value
+    counts = np.array([t[2] for t in items], dtype=np.int64)
+    profits = np.array([t[0] for t in items])
+    cum_counts = np.concatenate(([0], np.cumsum(counts)))
+    cum_profit = np.concatenate(([0.0], np.cumsum(profits * counts)))
+    total = int(cum_counts[-1])
+
+    # the best ``k`` items bound a row with ``k`` RUs; evaluate the row with
+    # the highest bound, then only the rows whose bound reaches its value
+    k = np.minimum(suffix_rows[:, 0], total)
+    idx = np.searchsorted(cum_counts, k, side="left")
+    bound = cum_profit[idx] - (cum_counts[idx] - k) * np.where(idx > 0, profits[np.maximum(idx - 1, 0)], 0.0)
+
+    first = int(np.argmax(bound))
+    v0 = _eval_configs(items, suffix_rows[first: first + 1])[0]
+    # bound and value sum in different orders, so allow for rounding
+    cand = np.nonzero(bound >= v0 - 1e-9 * v0)[0]
+    values = _eval_configs(items, suffix_rows[cand])
+    best = float(values.max())
+    winner = int(cand[int(np.argmax(values == best))])
+    return winner, best
+
+
+def lsds_config_search(
+    candidates: list[Job],
+    interval: Interval,
+    channel_width: int,
+    phy: PhyProfile,
+) -> tuple[RuConfiguration, tuple[tuple[int, int], ...], list[Job]]:
+    """Best RU configuration for one interval, its (job id, machine index)
+    pairs and the matched jobs.
+
+    A candidate is admissible if it is released by the interval start and
+    finishes on some RU class by the interval end and its deadline. Items
+    are taken by descending profit, then ascending id; among the
+    configurations of equal value the first of the table wins (fewer RUs,
+    then counts). The chosen jobs are placed most-constrained first, then
+    by id, each on the widest free RU, which admits it because machines
+    run widest first.
+    """
+    t1, t2 = interval.start, interval.end
+    admitted = []
+    for job in sorted(candidates, key=lambda j: (-j.profit, j.id)):
+        if job.release > t1:
+            continue
+        limit = min(t2, job.deadline_abs) - t1
+        durations = class_durations(job.size, phy)
+        c = next((c for c, d in enumerate(durations) if d <= limit), None)
+        if c is not None:
+            admitted.append((job.profit, c, job))
+    items = []
+    for (profit, c), run in itertools.groupby(admitted, key=lambda a: a[:2]):
+        jobs = [job for _, _, job in run]
+        items.append((profit, c, len(jobs), jobs))
+
+    # prune under the most RUs of each class, then search the table
+    table = config_table(channel_width)
+    suffix_rows = _suffix(table.counts)
+    value, pruned = _greedy(items, _suffix(table.counts.max(axis=0)))
+    row, _ = _config_search(pruned, value, suffix_rows)
+    _, takes = _greedy(pruned, suffix_rows[row])
+
+    placed = sorted(((c, job) for _, c, take, jobs in takes for job in jobs[:take]),
+                    key=lambda cj: (-cj[0], cj[1].id))
+    pairs = tuple(sorted((job.id, m) for m, (_, job) in enumerate(placed)))
+    return table.configs[row], pairs, [job for _, job in placed]
 
 
 class _Group:
@@ -133,9 +257,8 @@ class _Engine:
         self.configs = configs
         self.machines = machines
         self.cfg_counts = counts[:, active]
-        self.cfg_suffix = self.cfg_counts[:, ::-1].cumsum(axis=1)[:, ::-1]
-        caps = self.cfg_counts.max(axis=0)  # the relaxed machine set
-        self.suffix_caps = caps[::-1].cumsum()[::-1]
+        self.cfg_suffix = _suffix(self.cfg_counts)
+        self.suffix_caps = _suffix(self.cfg_counts.max(axis=0))  # the relaxed machine set
         self.sigma_total = int(self.suffix_caps[0])
         self.K = int(active.sum())
 
@@ -191,9 +314,9 @@ class _Engine:
     def _items_for(self, t1, t2):
         """Admissible job counts per (group, minimum class), with positions.
 
-        Returns (group_idx, c_min, lo, count) tuples in greedy (profit)
-        order; members of a slice sit at positions [lo, lo+count) of the
-        group's release-sorted pool and are interchangeable.
+        Returns ``_greedy`` items (profit, c_min, count, (group_idx, lo)) in
+        profit order; members of a slice sit at positions [lo, lo+count) of
+        the group's release-sorted pool and are interchangeable.
         """
         length = t2 - t1
         items = []
@@ -209,7 +332,7 @@ class _Engine:
                     continue
                 for c in range(self.K):
                     if g.durations[c] <= length:
-                        items.append((gi, c, 0, hi))
+                        items.append((g.profit, c, hi, (gi, 0)))
                         break
                 continue
             prev_lo = None
@@ -221,60 +344,11 @@ class _Engine:
                 lo = min(lo, hi)
                 top = hi if prev_lo is None else min(prev_lo, hi)
                 if lo < top:
-                    items.append((gi, c, lo, top - lo))
+                    items.append((g.profit, c, top - lo, (gi, lo)))
                 prev_lo = lo
                 if lo == 0:
                     break
         return items
-
-    def _greedy(self, items, suffix_caps):
-        """Profit-ordered selection under nested class capacities (exact)."""
-        avail = suffix_caps.astype(np.int64).copy()
-        value = 0.0
-        takes = []
-        for gi, c, lo, count in items:
-            room = int(avail[: c + 1].min())
-            if room <= 0:
-                continue
-            take = min(count, room)
-            avail[: c + 1] -= take
-            value += self.groups[gi].profit * take
-            takes.append((gi, c, lo, take))
-        return value, takes
-
-    def _config_search(self, items, value):
-        """Best configuration for the pruned item set (vectorized stage 2),
-        given its greedy ``value`` under the relaxed capacities."""
-        if len(self.configs) == 1:
-            return 0, value
-        counts = np.array([t[3] for t in items], dtype=np.int64)
-        profits = np.array([self.groups[t[0]].profit for t in items])
-        cum_counts = np.concatenate(([0], np.cumsum(counts)))
-        cum_profit = np.concatenate(([0.0], np.cumsum(profits * counts)))
-        total = int(cum_counts[-1])
-
-        sigma0 = self.cfg_suffix[:, 0]
-        k = np.minimum(sigma0, total)
-        idx = np.searchsorted(cum_counts, k, side="left")
-        bound = cum_profit[idx] - (cum_counts[idx] - k) * np.where(idx > 0, profits[np.maximum(idx - 1, 0)], 0.0)
-
-        first = int(np.argmax(bound))
-        v0 = self._eval_configs(np.array([first]), items)[0]
-        cand = np.nonzero(bound >= v0)[0]
-        values = self._eval_configs(cand, items)
-        best = float(values.max())
-        winner = int(cand[int(np.argmax(values == best))])
-        return winner, best
-
-    def _eval_configs(self, cfg_indices, items):
-        rem = self.cfg_suffix[cfg_indices].copy()
-        values = np.zeros(len(cfg_indices))
-        for gi, c, lo, count in items:
-            room = rem[:, : c + 1].min(axis=1)
-            take = np.minimum(count, room)
-            values += self.groups[gi].profit * take
-            rem[:, : c + 1] -= take[:, None]
-        return values
 
     # ---- committing ---------------------------------------------------------
 
@@ -283,7 +357,7 @@ class _Engine:
         member on the slowest class it admits."""
         free = caps.astype(np.int64).copy()
         per_class = []  # (group_idx, class, lo, count)
-        for gi, c, lo, take in sorted(takes, key=lambda t: -t[1]):
+        for _, c, take, (gi, lo) in sorted(takes, key=lambda t: -t[1]):
             pos = lo
             need = take
             for cls in range(c, self.K):
@@ -384,13 +458,13 @@ class _Engine:
                     items = self._items_for(t1, t2)
                     if not items:
                         continue
-                    value1, takes1 = self._greedy(items, self.suffix_caps)
+                    value1, takes1 = _greedy(items, self.suffix_caps)
                     if value1 <= 2.0 * conflict_w:
                         continue
-                    winner, value = self._config_search(takes1, value1)
+                    winner, value = _config_search(takes1, value1, self.cfg_suffix)
                     if value <= 2.0 * conflict_w:
                         continue
-                    _, takes = self._greedy(takes1, self.cfg_suffix[winner])
+                    _, takes = _greedy(takes1, self.cfg_suffix[winner])
                     if self._commit(t1, t2, value, takes, winner):
                         pos = int(idx) + 1
                         restarted = True

@@ -1,4 +1,10 @@
-"""Maximum-weight bipartite matching and the admission subproblems.
+"""Maximum-weight bipartite matching: the test oracle.
+
+No scheduler imports this module; the schedulers, the best-effort overlay
+and the slotted matcher use the exact greedy kernels of ``local_search``
+and ``slotted``, which the tests, ``tests/reference_impl.py`` and the
+acceptance suite check against the solvers here. It is the only module
+that needs scipy, which is a test dependency.
 
 ``max_weight_matching`` is backed by scipy's shortest-augmenting-path
 assignment solver (Hungarian-style, O(n^3)); missing edges are encoded
@@ -203,7 +209,8 @@ def lsds_config_search(
 
     Stage 1 prunes candidates with a relaxed machine set holding the
     maximum number of RUs of each class; stage 2 evaluates every legal
-    configuration on the pruned set. Ties break toward fewer RUs, then
+    configuration on the pruned set. The oracle of
+    ``local_search.lsds_config_search``. Ties break toward fewer RUs, then
     lexicographically smaller counts; the winner does not depend on
     evaluation order.
     """

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .phy import Machine, PhyProfile, RuConfiguration, configuration_by_index, configuration_index, machines_for_configuration
+from .phy import Machine, PhyProfile, RuConfiguration, config_table, configuration_index
 
 __all__ = ["Interval", "Batch", "Schedule", "conflicts", "dump_schedule", "parse_schedule"]
 
@@ -105,17 +105,16 @@ def parse_schedule(
         entry = rows.setdefault(int(idx), {"t1": int(t1), "t2": int(t2),
                                            "cfg": int(cfg), "pairs": []})
         entry["pairs"].append((int(job), int(mach)))
+    table = config_table(channel_width)
     batches = []
     for idx in sorted(rows):
         e = rows[idx]
         if e["cfg"] < 0:
             raise ValueError("cannot reconstruct machines for config-less batch")
-        config = configuration_by_index(channel_width, e["cfg"])
-        machines = tuple(machines_for_configuration(config, phy))
         batches.append(Batch(
             interval=Interval(e["t1"], e["t2"]),
             assignments=tuple(sorted(e["pairs"])),
-            machines=machines,
-            config=config,
+            machines=table.machines(e["cfg"], phy),
+            config=table.configs[e["cfg"]],
         ))
     return make_schedule(batches, profit_of)

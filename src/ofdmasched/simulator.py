@@ -16,10 +16,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .benchmarks import greedy_benchmark
-from .local_search import lsds_run, lsdsf_run, default_grid_us
-from .matching import lsds_config_search
+from .local_search import default_grid_us, lsds_config_search, lsds_run, lsdsf_run
 from .phy import (
     PhyProfile,
+    config_table,
     configuration_index,
     full_26_tone_configuration,
     machines_for_configuration,
@@ -292,7 +292,8 @@ def best_effort_overlay(
 
     Factory assignments are never touched: best-effort packets ride free
     RUs of existing batches, and the idle time between batches is filled
-    with extra best-effort-only batches. A packet that keeps missing
+    with extra best-effort-only batches, each taking the configuration and
+    packets of ``lsds_config_search``. A packet that keeps missing
     rounds has its profit escalated toward ``critical_threshold``, which
     raises its admission priority. Returns the augmented schedule, the
     satisfaction ratio (throughput achieved / offered) and the fraction
@@ -364,13 +365,13 @@ def best_effort_overlay(
             end_limit = min(gap_end, t + txop)
             if end_limit - t < 16:
                 break
-            config, matching, matched = lsds_config_search(
+            config, pairs, matched = lsds_config_search(
                 candidates, Interval(t, end_limit), channel_width, phy)
             if not matched:
                 break
-            machines = tuple(machines_for_configuration(config, phy))
+            machines = config_table(channel_width).machines(configuration_index(config), phy)
             batch_end = t
-            for job_id, m_idx in matching.pairs:
+            for job_id, m_idx in pairs:
                 job = be_jobs[job_id]
                 d = tx_duration(job.size, machines[m_idx])
                 batch_end = max(batch_end, t + d)
@@ -378,7 +379,7 @@ def best_effort_overlay(
                 be_ru_time += machines[m_idx].bandwidth * d
             new_batches.append(Batch(
                 interval=Interval(t, batch_end),
-                assignments=tuple(sorted(matching.pairs)),
+                assignments=tuple(sorted(pairs)),
                 machines=machines, config=config,
             ))
             matched_ids = {j.id for j in matched}

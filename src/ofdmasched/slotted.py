@@ -5,22 +5,26 @@ RUs. Packets of periodic applications arrive at period boundaries; a
 packet arriving in slot a with delay tolerance d may occupy one RU in
 any slot of [a, a+d]. Packet-to-(slot, RU) assignment is a maximum
 weight bipartite matching with the application profit on every edge.
+Each packet's slots form one interval, so the graph is convex and an
+interval greedy solves it exactly (see ``_window_batches``).
 
 The optimal variant builds the graph over one full hyper-period (the
 LCM of the periods, after which the arrival pattern repeats), so its
-matching is the true optimum; the windowed heuristic looks only
-``window_n`` slots ahead and keeps a record of already-scheduled packets
-so they do not reappear in later windows. Both are restricted to
-equal-RU configurations and reject anything else.
+matching is the true optimum; the windowed heuristic
+(``slotted_schedule`` with ``window_n``) looks only ``window_n`` slots
+ahead and keeps a record of already-scheduled packets so they do not
+reappear in later windows. Both are restricted to equal-RU
+configurations and reject anything else.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .phy import PhyProfile, RuConfiguration, machines_for_configuration, tx_duration_us
 from .scheduling import Batch, Interval, Schedule, make_schedule
@@ -32,7 +36,6 @@ __all__ = [
     "slotted_apps_from_profiles",
     "slotted_jobset",
     "slotted_optimal",
-    "slotted_heuristic",
     "slotted_schedule",
 ]
 
@@ -122,52 +125,70 @@ def slotted_jobset(apps: list[SlottedApp], horizon_slots: int) -> JobSet:
     return JobSet(jobs=tuple(jobs), horizon=horizon_us, seed=0)
 
 
-def _window_batches(jobset, config, phy, w_start, w_len, record):
-    """Match the packets not in ``record`` against the (slot, RU) grid of one
-    window, add the matched ones to ``record`` and return their batches."""
+def _window_batches(packets, config, phy, w_start, w_len):
+    """Match ``packets`` (released before the window ends, with deadlines
+    after it starts) against the (slot, RU) grid of one window; return the
+    batches of the matched ones.
+
+    A packet may take any of the j RUs of any slot of its in-window range
+    [s, e], so the graph is convex and a packet set fits iff every slot
+    interval [x, y] contains at most j * (y - x + 1) of its ranges. Packets
+    are accepted greedily by descending profit, then deadline, then id,
+    which gives a maximum-profit set; earliest-deadline-first then places
+    every accepted packet, slot by slot.
+    """
     j_rus = _check_equal_config(config)
     machines = tuple(machines_for_configuration(config, phy))
     ru_class = machines[0].tone_class
     w_end = w_start + w_len  # exclusive
-    packets = [job for job in jobset.jobs
-               if job.id not in record
-               and job.release // SLOT_US < w_end
-               and job.deadline_abs > w_start * SLOT_US]
     if not packets:
         return []
-    for job in packets:
-        if tx_duration_us(job.size, ru_class, phy) >= SLOT_US:
-            raise ValueError(f"packet of {job.size} B does not fit a slot on {config}")
-    cells = len(packets) * w_len * j_rus
-    if cells > MATRIX_GUARD_CELLS:
+    duration = {size: tx_duration_us(size, ru_class, phy) for size in {p.size for p in packets}}
+    for size, d in duration.items():
+        if d >= SLOT_US:
+            raise ValueError(f"packet of {size} B does not fit a slot on {config}")
+    ranges = {job.id: (max(job.release // SLOT_US, w_start),
+                       min((job.deadline_abs - 1) // SLOT_US, w_end - 1))
+              for job in packets}
+    # Hall's condition needs checking only on intervals from some range's
+    # start to some range's end
+    starts = sorted({s for s, _ in ranges.values()})
+    ends = sorted({e for _, e in ranges.values()})
+    if len(starts) * len(ends) > MATRIX_GUARD_CELLS:
         raise ValueError("matching graph exceeds the size guard")
-    weights = np.zeros((len(packets), w_len * j_rus))
-    allowed = np.zeros_like(weights, dtype=bool)
-    for i, job in enumerate(packets):
-        a = job.release // SLOT_US
-        last = min((job.deadline_abs - 1) // SLOT_US, w_end - 1)
-        for slot in range(max(a, w_start), last + 1):
-            col = (slot - w_start) * j_rus
-            weights[i, col: col + j_rus] = job.profit
-            allowed[i, col: col + j_rus] = True
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    by_slot: dict[int, list] = {}
-    for r, c in zip(rows, cols):
-        if allowed[r, c]:
-            record.add(packets[r].id)
-            slot, ru = divmod(int(c), j_rus)
-            by_slot.setdefault(w_start + slot, []).append((ru, packets[r]))
+    spare = j_rus * (np.subtract.outer(ends, starts).T + 1)  # [x, y] -> room left
+    accepted = []
+    for job in sorted(packets, key=lambda p: (-p.profit, p.deadline_abs, p.id)):
+        s, e = ranges[job.id]
+        # the intervals [x, y] with x <= s and y >= e contain the range
+        room = spare[: bisect.bisect_right(starts, s), bisect.bisect_left(ends, e):]
+        if room.min() > 0:
+            room -= 1
+            accepted.append(job)
+
+    accepted.sort(key=lambda p: (ranges[p.id][0], p.deadline_abs, p.id))
+    ready = []  # (deadline, id, job) of arrived, unplaced packets
+    nxt = 0
     batches = []
-    for slot in sorted(by_slot):
-        pairs = by_slot[slot]
+    for slot in range(w_start, w_end):
+        while nxt < len(accepted) and ranges[accepted[nxt].id][0] == slot:
+            job = accepted[nxt]
+            heapq.heappush(ready, (job.deadline_abs, job.id, job))
+            nxt += 1
+        sent = [heapq.heappop(ready)[2] for _ in range(min(j_rus, len(ready)))]
+        if not sent:
+            continue
+        if ranges[sent[0].id][1] < slot:
+            raise AssertionError("accepted packet missed its range; Hall check bug")
         t1 = slot * SLOT_US
-        end = max(t1 + tx_duration_us(job.size, ru_class, phy) for _, job in pairs)
         batches.append(Batch(
-            interval=Interval(t1, end),
-            assignments=tuple(sorted((job.id, ru) for ru, job in pairs)),
+            interval=Interval(t1, t1 + max(duration[job.size] for job in sent)),
+            assignments=tuple(sorted((job.id, ru) for ru, job in enumerate(sent))),
             machines=machines,
             config=config,
         ))
+    if ready:
+        raise AssertionError("accepted packet left unplaced; Hall check bug")
     return batches
 
 
@@ -185,26 +206,8 @@ def slotted_optimal(
     phy = phy or PhyProfile()
     lcm = _hyperperiod(apps)
     jobset = slotted_jobset(apps, start_slot + lcm)
-    return _schedule_of(_window_batches(jobset, config, phy, start_slot, lcm, set()), jobset)
-
-
-def slotted_heuristic(
-    apps: list[SlottedApp],
-    config: RuConfiguration,
-    start_slot: int,
-    window_n: int,
-    scheduled_record: set[int],
-    phy: PhyProfile | None = None,
-    jobset: JobSet | None = None,
-) -> tuple[Schedule, JobSet]:
-    """One windowed invocation; matched packet ids are added to the record."""
-    if window_n < 1:
-        raise ValueError("window must be at least one slot")
-    phy = phy or PhyProfile()
-    if jobset is None:
-        jobset = slotted_jobset(apps, start_slot + window_n)
-    batches = _window_batches(jobset, config, phy, start_slot, window_n, scheduled_record)
-    return _schedule_of(batches, jobset)
+    packets = [j for j in jobset.jobs if j.deadline_abs > start_slot * SLOT_US]
+    return _schedule_of(_window_batches(packets, config, phy, start_slot, lcm), jobset)
 
 
 def slotted_schedule(
@@ -217,17 +220,26 @@ def slotted_schedule(
     """Cover a horizon by repeated invocation.
 
     ``window_n`` = None runs the optimal matcher per hyper-period; an
-    integer runs the windowed heuristic with the shared scheduled-packet
-    record.
+    integer runs the windowed heuristic: windows of ``window_n`` slots,
+    each offered the packets that earlier windows left unmatched.
     """
+    if window_n is not None and window_n < 1:
+        raise ValueError("window must be at least one slot")
     phy = phy or PhyProfile()
     jobset = slotted_jobset(apps, horizon_slots)
-    record: set[int] = set()
-    batches = []
+    jobs = jobset.jobs  # in release order
     step = _hyperperiod(apps) if window_n is None else window_n
-    start = 0
-    while start < horizon_slots:
+    batches = []
+    waiting = []  # released, unmatched packets
+    nxt = 0
+    for start in range(0, horizon_slots, step):
         w_len = min(step, horizon_slots - start)
-        batches.extend(_window_batches(jobset, config, phy, start, w_len, record))
-        start += w_len
+        while nxt < len(jobs) and jobs[nxt].release < (start + w_len) * SLOT_US:
+            waiting.append(jobs[nxt])
+            nxt += 1
+        waiting = [j for j in waiting if j.deadline_abs > start * SLOT_US]
+        window = _window_batches(waiting, config, phy, start, w_len)
+        matched = {j for b in window for j in b.job_ids}
+        waiting = [j for j in waiting if j.id not in matched]
+        batches.extend(window)
     return _schedule_of(batches, jobset)

@@ -276,11 +276,13 @@ def load_use_case(use_case: str, horizon: int, seed: int) -> JobSet:
 
 
 def dump_jobs(jobset: JobSet) -> str:
-    """Line format: ``id station release_us deadline_us profit size_bytes critical``."""
+    """Line format: ``id station release_us deadline_us profit size_bytes critical app``;
+    ``app`` is empty for jobs of no application."""
     lines = [f"# horizon_us={jobset.horizon} seed={jobset.seed}"]
     for j in jobset.jobs:
         lines.append(
-            f"{j.id} {j.station} {j.release} {j.deadline_abs} {j.profit!r} {j.size} {int(j.critical)}"
+            f"{j.id} {j.station} {j.release} {j.deadline_abs} {j.profit!r} {j.size} "
+            f"{int(j.critical)} {j.app}".rstrip()
         )
     return "\n".join(lines) + "\n"
 
@@ -297,10 +299,11 @@ def parse_jobs(text: str) -> JobSet:
             horizon = int(meta.get("horizon_us", 0))
             seed = int(meta.get("seed", 0))
             continue
-        f = line.split()
+        f = line.split(maxsplit=7)
         jobs.append(Job(id=int(f[0]), station=int(f[1]), release=int(f[2]),
                         deadline_abs=int(f[3]), profit=float(f[4]),
-                        size=int(f[5]), critical=bool(int(f[6]))))
+                        size=int(f[5]), critical=bool(int(f[6])),
+                        app=f[7] if len(f) > 7 else ""))
     if not horizon and jobs:
         horizon = max(j.deadline_abs for j in jobs)
     return JobSet(jobs=tuple(jobs), horizon=horizon, seed=seed)

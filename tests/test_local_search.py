@@ -3,7 +3,8 @@ import random
 import pytest
 
 from ofdmasched.exhaustive import brute_force_optimal
-from ofdmasched.local_search import lsds, lsds_run, lsdsf, lsdsf_run
+from ofdmasched.local_search import lsds, lsds_config_search, lsds_run, lsdsf, lsdsf_run
+from ofdmasched.matching import lsds_config_search as oracle_config_search
 from ofdmasched.phy import (
     Machine,
     PhyProfile,
@@ -11,7 +12,9 @@ from ofdmasched.phy import (
     enumerate_configurations,
     machines_for_configuration,
     phy_rate,
+    tx_duration,
 )
+from ofdmasched.scheduling import Interval
 from ofdmasched.workload import Job, JobSet
 
 from reference_impl import reference_lsds, reference_lsdsf
@@ -84,7 +87,6 @@ def test_engine_matches_reference_lsdsf_trajectory():
         for batch in schedule.batches:
             for job_id, m_idx in batch.assignments:
                 job = next(j for j in jobset.jobs if j.id == job_id)
-                from ofdmasched.phy import tx_duration
                 p = tx_duration(job.size, batch.machines[m_idx])
                 assert job.release <= batch.interval.start
                 assert batch.interval.start + p <= min(batch.interval.end, job.deadline_abs)
@@ -237,3 +239,34 @@ def test_non_positive_grid_rejected(grid_us):
         lsds_run(jobs, 20, PHY0, txop=64, grid_us=grid_us)
     with pytest.raises(ValueError, match="grid_us must be positive"):
         lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=64, grid_us=grid_us)
+
+
+@pytest.mark.parametrize("width", [20, 40, 80])
+@pytest.mark.parametrize("mcs", [0, 7, 11])
+def test_lsds_config_search_matches_hungarian_oracle(width, mcs):
+    phy = PhyProfile(mcs=mcs)
+    rng = random.Random(f"config-search:{width}:{mcs}")
+    sizes = (20, 50, 100, 300, 500, 1000, 1500, 3000)
+    for _ in range(40 if width < 80 else 15):
+        jobs = []
+        for i in range(rng.randint(1, 25)):
+            release = rng.randint(0, 300)
+            jobs.append(Job(id=i, station=i, release=release,
+                            deadline_abs=release + rng.randint(50, 5_000),
+                            profit=float(rng.choice((1, 2, 3, 5, 8))),
+                            size=rng.choice(sizes)))
+        t1 = rng.randint(0, 350)
+        interval = Interval(t1, t1 + rng.randint(30, 4_000))
+        config, pairs, matched = lsds_config_search(jobs, interval, width, phy)
+        want_config, want, _ = oracle_config_search(jobs, interval, width, phy)
+        assert config == want_config
+        assert sum(j.profit for j in matched) == pytest.approx(want.total_weight)
+        assert sorted(j.id for j in matched) == sorted(j for j, _ in pairs)
+        machines = machines_for_configuration(config, phy)
+        assert len({m for _, m in pairs}) == len(pairs)
+        by_id = {j.id: j for j in jobs}
+        for job_id, m in pairs:
+            job = by_id[job_id]
+            assert job.release <= interval.start
+            assert interval.start + tx_duration(job.size, machines[m]) \
+                <= min(interval.end, job.deadline_abs)

@@ -1,0 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Blocking scipy in sys.modules makes any import of it raise ImportError.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import ofdmasched
+from ofdmasched import PhyProfile, load_use_case, lsds, validate_schedule
+from ofdmasched.phy import full_26_tone_configuration
+from ofdmasched.simulator import best_effort_overlay, generate_best_effort
+from ofdmasched.slotted import SlottedApp, slotted_schedule
+
+phy = PhyProfile()
+jobs = load_use_case("UC4", 20_000, seed=1)
+schedule = lsds(jobs, 40, phy)
+assert validate_schedule(schedule, jobs, 40, phy, 4_000) == []
+packets = generate_best_effort(20.0, jobs.horizon, seed=1)
+_, satisfaction, _ = best_effort_overlay(schedule, jobs, packets, 40, phy)
+assert satisfaction > 0
+apps = [SlottedApp("a", 2, 100, 1, 3.0, 20), SlottedApp("b", 3, 200, 1, 1.0, 10)]
+slotted, _ = slotted_schedule(apps, full_26_tone_configuration(40), 12, window_n=None)
+assert slotted.total_profit > 0
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def test_schedulers_run_without_scipy():
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 import pytest
 
+from ofdmasched import simulator
 from ofdmasched.local_search import lsds
+from ofdmasched.matching import lsds_config_search as oracle_config_search
 from ofdmasched.phy import PhyProfile, RuToneClass, full_26_tone_configuration, machines_for_configuration, tx_duration_us
 from ofdmasched.scheduling import Batch, Interval
 from ofdmasched.simulator import (
@@ -160,3 +162,57 @@ def test_overlay_respects_arrivals_and_batch_feasibility():
                 assert p.arrival_us <= b.interval.start
                 dur = tx_duration_us(p.size, b.machines[m].tone_class, PHY)
                 assert b.interval.start + dur <= b.interval.end
+
+
+def _hungarian_config_search(candidates, interval, channel_width, phy):
+    config, matching, matched = oracle_config_search(candidates, interval, channel_width, phy)
+    return config, matching.pairs, matched
+
+
+@pytest.mark.parametrize("use_case,horizon,load,size", [
+    ("UC4", 100_000, 20.0, 1500),
+    ("UC2", 20_000, 60.0, 300),
+])
+def test_overlay_kernel_matches_hungarian_oracle(monkeypatch, use_case, horizon, load, size):
+    js = load_use_case(use_case, horizon, seed=1)
+    schedule = lsds(js, 40, PHY)
+    packets = generate_best_effort(load, js.horizon, seed=3, size=size)
+    got, got_sat, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
+    monkeypatch.setattr(simulator, "lsds_config_search", _hungarian_config_search)
+    want, want_sat, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
+
+    def batches(s):
+        return [(b.interval, b.config, frozenset(b.job_ids)) for b in s.batches]
+
+    assert len(got.batches) > len(schedule.batches)  # some gaps were filled
+    assert batches(got) == batches(want)
+    assert got_sat == want_sat
+
+
+def test_overlay_admits_best_effort_on_free_rus():
+    # 300 B packets fit the free RUs left in UC2's factory batches
+    js = load_use_case("UC2", 50_000, seed=1)
+    schedule = lsds(js, 40, PHY)
+    packets = generate_best_effort(100.0, js.horizon, seed=1, size=300)
+    out, _, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
+
+    factory_ids = {j.id for j in js.jobs}
+    be_base = max(factory_ids) + 1
+    by_slot = {(b.interval, b.config): b for b in out.batches}
+    admitted = 0
+    for base in schedule.batches:
+        b = by_slot[(base.interval, base.config)]
+        assert set(base.assignments) <= set(b.assignments)
+        for job, m in set(b.assignments) - set(base.assignments):
+            assert job >= be_base
+            p = packets[job - be_base]
+            assert p.arrival_us <= b.interval.start
+            assert b.interval.start + tx_duration_us(p.size, b.machines[m].tone_class, PHY) \
+                <= b.interval.end
+            admitted += 1
+    assert admitted > 0
+    be_jobs = tuple(Job(id=be_base + p.id, station=-1, release=p.arrival_us,
+                        deadline_abs=js.horizon, profit=p.profit, size=p.size)
+                    for p in packets)
+    union = JobSet(jobs=js.jobs + be_jobs, horizon=js.horizon, seed=js.seed)
+    assert validate_schedule(out, union, 40, PHY, 4_000) == []

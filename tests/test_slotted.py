@@ -1,9 +1,19 @@
+import math
+import random
+
 import pytest
 
 from ofdmasched.exhaustive import brute_force_optimal
-from ofdmasched.phy import PhyProfile, RuConfiguration, machines_for_configuration
+from ofdmasched.matching import BipartiteInstance, max_weight_matching
+from ofdmasched.phy import (
+    PhyProfile,
+    RuConfiguration,
+    full_26_tone_configuration,
+    machines_for_configuration,
+)
 from ofdmasched.simulator import validate_schedule
 from ofdmasched.slotted import (
+    SLOT_US,
     SlottedApp,
     slotted_apps_from_profiles,
     slotted_jobset,
@@ -74,6 +84,12 @@ def test_slotted_schedules_validate_clean():
     assert validate_schedule(schedule, jobs, 40, PHY, 4_000) == []
 
 
+@pytest.mark.parametrize("window_n", [0, -3])
+def test_window_must_be_positive(window_n):
+    with pytest.raises(ValueError):
+        slotted_schedule(DEVIATION_APPS, TWO_242, 4, window_n=window_n)
+
+
 def test_lcm_guard():
     apps = [SlottedApp("p", 101, 10, 1, 1.0), SlottedApp("q", 103, 10, 1, 1.0)]
     with pytest.raises(ValueError):
@@ -106,3 +122,46 @@ def test_jobset_shape():
     assert len(jobs) == 6  # three apps, arrivals at slots 0 and 2
     assert {j.release for j in jobs.jobs} == {0, 2_000}
     assert all(j.deadline_abs <= jobs.horizon for j in jobs.jobs)
+
+
+def window_graph_optimum(apps, config, horizon_slots):
+    """Hungarian optimum of the full (slot, RU) graph of one window."""
+    j_rus = sum(config.counts)
+    jobs = slotted_jobset(apps, horizon_slots)
+    edges = []
+    for job in jobs.jobs:
+        last = min((job.deadline_abs - 1) // SLOT_US, horizon_slots - 1)
+        for slot in range(job.release // SLOT_US, last + 1):
+            edges.extend((job.id, slot * j_rus + ru, job.profit) for ru in range(j_rus))
+    inst = BipartiteInstance(tuple(j.id for j in jobs.jobs),
+                             tuple(range(horizon_slots * j_rus)), tuple(edges))
+    return max_weight_matching(inst).total_weight
+
+
+def test_optimal_profit_equals_hungarian_oracle():
+    rng = random.Random(2024)
+    configs = [ONE_242, TWO_242, full_26_tone_configuration(20)]
+    for _ in range(150):
+        apps = []
+        for i in range(rng.randint(1, 4)):
+            period = rng.randint(1, 4)
+            apps.append(SlottedApp(f"a{i}", period, rng.choice((10, 50, 100)),
+                                   rng.randint(0, period - 1), float(rng.randint(1, 6)),
+                                   rng.randint(1, 6)))
+        config = rng.choice(configs)
+        # a horizon of one hyper-period is a single window
+        horizon = math.lcm(*(a.period_slots for a in apps))
+        schedule, jobs = slotted_schedule(apps, config, horizon, window_n=None)
+        assert validate_schedule(schedule, jobs, config.channel_width, PHY, 4_000) == []
+        assert schedule.total_profit == pytest.approx(
+            window_graph_optimum(apps, config, horizon))
+
+
+def test_window_beyond_dense_matrix_size():
+    # 300 packets over a 1000-slot window on 18 RUs: 5.4 M (packet, slot, RU)
+    # cells, but the interval table has one start and one end
+    apps = [SlottedApp("bulk", 1000, 100, 999, 1.0, 300)]
+    config = full_26_tone_configuration(40)
+    schedule, jobs = slotted_optimal(apps, config)
+    assert len(schedule.scheduled_jobs) == len(jobs) == 300
+    assert validate_schedule(schedule, jobs, 40, PHY, 4_000) == []

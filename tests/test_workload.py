@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+from ofdmasched.benchmarks import greedy_benchmark
+from ofdmasched.phy import PhyProfile
+from ofdmasched.scheduling import dump_schedule
 from ofdmasched.workload import (
     ApplicationProfile,
     Job,
@@ -121,8 +124,24 @@ def test_jobs_round_trip_through_text_format():
     assert len(back.jobs) == len(js.jobs)
     for a, b in zip(js.jobs, back.jobs):
         assert (a.id, a.station, a.release, a.deadline_abs, a.profit, a.size,
-                a.critical) == (b.id, b.station, b.release, b.deadline_abs,
-                                b.profit, b.size, b.critical)
+                a.critical, a.app) == (b.id, b.station, b.release, b.deadline_abs,
+                                       b.profit, b.size, b.critical, b.app)
+
+
+@pytest.mark.parametrize("use_case,horizon", [("UC1", 20_000), ("UC2", 50_000), ("UC4", HORIZON)])
+def test_nlrf_schedule_survives_jobs_round_trip(use_case, horizon):
+    # nlrf keeps its starvation counters per application
+    js = load_use_case(use_case, horizon, seed=1)
+    back = parse_jobs(dump_jobs(js))
+    phy = PhyProfile()
+    assert dump_schedule(greedy_benchmark("nlrf", back, 40, phy)) == \
+        dump_schedule(greedy_benchmark("nlrf", js, 40, phy))
+
+
+def test_jobs_round_trip_without_app():
+    js = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=100, profit=1.5, size=10),),
+                horizon=100, seed=3)
+    assert parse_jobs(dump_jobs(js)) == js
 
 
 def test_invalid_inputs_rejected():
