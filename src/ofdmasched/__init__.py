@@ -14,7 +14,7 @@ from .workload import ApplicationProfile, Job, JobSet, load_use_case
 from .scheduling import Batch, Interval, Schedule
 from .local_search import lsds, lsdsf
 from .benchmarks import greedy_benchmark
-from .slotted import SlottedApp, slotted_optimal, slotted_schedule
+from .slotted import SlottedApp, slotted_schedule
 from .exhaustive import brute_force_optimal
 from .simulator import (
     ChannelScenario,

@@ -66,15 +66,12 @@ def greedy_benchmark(
     jobs: JobSet,
     channel_width: int,
     phy: PhyProfile | None = None,
-    horizon: int | None = None,
     txop: int = 4_000,
 ) -> Schedule:
     """Round-based station-sorting scheduler (EDF, LRF or NLRF)."""
     if kind not in BENCHMARK_KINDS:
         raise ValueError(f"unknown benchmark kind: {kind}")
     phy = phy or PhyProfile()
-    horizon = jobs.horizon if horizon is None else horizon
-
     table = config_table(channel_width)
 
     stations: dict[int, _Station] = {}
@@ -104,38 +101,29 @@ def greedy_benchmark(
 
     batches = []
     now = 0
-    while now < horizon:
+    while now < jobs.horizon:
         heads = []
         for st in station_list:
             job = st.pending(now)
             if job is not None:
                 heads.append((metric(job, now), st.station, st, job))
-        if not heads:
-            events = [st.next_event(now) for st in station_list]
-            events = [e for e in events if e is not None]
-            if not events:
-                break
-            now = min(events)
-            continue
-        heads.sort(key=lambda h: (h[0], h[1]))
+        if heads:
+            heads.sort(key=lambda h: (h[0], h[1]))
+            dur = np.array([class_durations(h[3].size, phy) for h in heads], dtype=np.int64)
+            limit = np.array([min(txop, h[3].deadline_abs - now) for h in heads],
+                             dtype=np.int64)
+            profit = np.array([h[3].profit for h in heads])
 
-        n = len(heads)
-        dur = np.array([class_durations(h[3].size, phy) for h in heads], dtype=np.int64)
-        limit = np.array([min(txop, h[3].deadline_abs - now) for h in heads],
-                         dtype=np.int64)
-        profit = np.array([h[3].profit for h in heads])
-
-        width = min(table.class_mat.shape[1], n)
-        cls = table.class_mat[:, :width]
-        valid = cls >= 0
-        d = dur[np.arange(width)[None, :], np.where(valid, cls, 0)]
-        ok = valid & (d <= limit[None, :width])
-        round_profit = (ok * profit[None, :width]).sum(axis=1)
-
-        best = float(round_profit.max())
-        if best <= 0:
-            events = [st.next_event(now) for st in station_list]
-            events = [e for e in events if e is not None and e > now]
+            width = min(table.class_mat.shape[1], len(heads))
+            cls = table.class_mat[:, :width]
+            valid = cls >= 0
+            d = dur[np.arange(width)[None, :], np.where(valid, cls, 0)]
+            ok = valid & (d <= limit[None, :width])
+            round_profit = (ok * profit[None, :width]).sum(axis=1)
+            best = float(round_profit.max())
+        if not heads or best <= 0:
+            # nothing can go now: wait for the next arrival or expiry
+            events = [e for e in (st.next_event(now) for st in station_list) if e is not None]
             if not events:
                 break
             now = min(events)

@@ -13,10 +13,12 @@ matchable under such nested (suffix) neighborhoods form a matroid whose
 feasibility is a simple capacity condition, so a profit-ordered greedy
 over per-class counts is exact. That makes one interval evaluation a few
 binary searches per (job group, class) instead of a Hungarian solve.
-``_greedy``, ``_eval_configs`` and ``_config_search`` are that kernel, and
-``lsds_config_search`` applies it to one interval of loose jobs (the
-best-effort overlay's gap fill); tests check both against the Hungarian
-oracle in the matching module.
+``_greedy``, ``_eval_configs`` and ``_config_search`` are that kernel.
+``pick_jobs`` applies it to one interval of loose jobs over any rows of
+per-class RU counts: the best-effort overlay passes a batch's free RUs
+as one row, and ``lsds_config_search`` the channel's configuration
+table for a gap fill. Tests check both against the Hungarian oracle in
+the matching module.
 
 Between commits the candidate pool is fixed, so whole start ranges are
 screened with a vectorized upper bound; only intervals whose bound beats
@@ -47,6 +49,7 @@ from .workload import Job, JobSet
 
 __all__ = [
     "LocalSearchStats",
+    "pick_jobs",
     "lsds_config_search",
     "default_grid_us",
     "lsdsf",
@@ -57,13 +60,15 @@ __all__ = [
 ]
 
 DEFAULT_TXOP_US = 4_000
-_CLIPPED = -1  # sentinel deadline offset for jobs whose deadline sits on the horizon
+# deadline offset of jobs whose deadline sits on the horizon: no interval
+# ends past the horizon, so their deadline never binds
+_UNBOUND = 1 << 62
 
 
-def default_grid_us(phy: PhyProfile, floor_us: int = 100) -> int:
-    """Smallest whole-microsecond multiple of the OFDM symbol >= floor_us."""
+def default_grid_us(phy: PhyProfile) -> int:
+    """Smallest whole-microsecond multiple of the OFDM symbol >= 100 us."""
     sym_ns = phy.symbol_duration_ns
-    k = -(-floor_us * 1000 // sym_ns)
+    k = -(-100_000 // sym_ns)
     while (k * sym_ns) % 1000:
         k += 1
     return k * sym_ns // 1000
@@ -151,22 +156,20 @@ def _config_search(items, value, suffix_rows):
     return winner, best
 
 
-def lsds_config_search(
+def pick_jobs(
     candidates: list[Job],
     interval: Interval,
-    channel_width: int,
+    counts: np.ndarray,
     phy: PhyProfile,
-) -> tuple[RuConfiguration, tuple[tuple[int, int], ...], list[Job]]:
-    """Best RU configuration for one interval, its (job id, machine index)
-    pairs and the matched jobs.
+) -> tuple[int, list[Job]]:
+    """Best row of ``counts`` (RUs per class of ``TONE_CLASSES``, one row
+    per configuration) for one interval, and the jobs it takes.
 
     A candidate is admissible if it is released by the interval start and
     finishes on some RU class by the interval end and its deadline. Items
-    are taken by descending profit, then ascending id; among the
-    configurations of equal value the first of the table wins (fewer RUs,
-    then counts). The chosen jobs are placed most-constrained first, then
-    by id, each on the widest free RU, which admits it because machines
-    run widest first.
+    are taken by descending profit, then ascending id; among rows of equal
+    value the first wins. The taken jobs come most-constrained first, then
+    by id: the k-th of them fits the row's k-th RU, widest first.
     """
     t1, t2 = interval.start, interval.end
     admitted = []
@@ -183,17 +186,29 @@ def lsds_config_search(
         jobs = [job for _, _, job in run]
         items.append((profit, c, len(jobs), jobs))
 
-    # prune under the most RUs of each class, then search the table
-    table = config_table(channel_width)
-    suffix_rows = _suffix(table.counts)
-    value, pruned = _greedy(items, _suffix(table.counts.max(axis=0)))
+    # prune under the most RUs of each class, then search the rows
+    suffix_rows = _suffix(counts)
+    value, pruned = _greedy(items, _suffix(counts.max(axis=0)))
     row, _ = _config_search(pruned, value, suffix_rows)
     _, takes = _greedy(pruned, suffix_rows[row])
-
     placed = sorted(((c, job) for _, c, take, jobs in takes for job in jobs[:take]),
                     key=lambda cj: (-cj[0], cj[1].id))
-    pairs = tuple(sorted((job.id, m) for m, (_, job) in enumerate(placed)))
-    return table.configs[row], pairs, [job for _, job in placed]
+    return row, [job for _, job in placed]
+
+
+def lsds_config_search(
+    candidates: list[Job],
+    interval: Interval,
+    channel_width: int,
+    phy: PhyProfile,
+) -> tuple[RuConfiguration, tuple[tuple[int, int], ...], list[Job]]:
+    """``pick_jobs`` over every configuration of the channel: the best
+    configuration (the first of the table on ties: fewer RUs, then counts),
+    its (job id, machine index) pairs and the matched jobs."""
+    table = config_table(channel_width)
+    row, placed = pick_jobs(candidates, interval, table.counts, phy)
+    pairs = tuple(sorted((job.id, m) for m, job in enumerate(placed)))
+    return table.configs[row], pairs, placed
 
 
 class _Group:
@@ -204,7 +219,7 @@ class _Group:
     def __init__(self, profit, durations, off):
         self.profit = profit
         self.durations = durations  # per class, ascending class order (non-increasing)
-        self.off = off              # deadline - release, or _CLIPPED (deadline == horizon)
+        self.off = off              # deadline - release, or _UNBOUND (deadline == horizon)
         self.releases = None        # np.int64, sorted
         self.ids = None             # aligned job ids
 
@@ -240,15 +255,14 @@ class _Engine:
     take part in the search.
     """
 
-    def __init__(self, jobset, horizon, txop, grid_us, phy, classes, configs, counts,
-                 machines):
+    def __init__(self, jobset, txop, grid_us, phy, classes, configs, counts, machines):
         if grid_us <= 0:
             raise ValueError(f"grid_us must be positive, got {grid_us}")
         if txop < grid_us:
             raise ValueError("txop shorter than one grid step")
-        self.horizon = horizon
+        self.horizon = jobset.horizon
         self.grid = grid_us
-        self.t_units = horizon // grid_us
+        self.t_units = self.horizon // grid_us
         self.delta_units = min(txop // grid_us, self.t_units)
         self.phy = phy
         self.stats = LocalSearchStats()
@@ -271,7 +285,7 @@ class _Engine:
     def _build_groups(self, jobset, table_cols, active):
         members = {}
         for job in jobset.jobs:
-            off = _CLIPPED if job.deadline_abs >= self.horizon else job.deadline_abs - job.release
+            off = _UNBOUND if job.deadline_abs >= self.horizon else job.deadline_abs - job.release
             members.setdefault((job.profit, job.size, off), []).append((job.release, job.id))
         # groups are keyed and ordered by the durations on every class of the
         # table, which fixes the order of equal-profit jobs; the search itself
@@ -281,7 +295,7 @@ class _Engine:
             full = class_durations(size, self.phy)
             table.setdefault((profit, tuple(full[c] for c in table_cols), off), []).extend(rel_ids)
         self.groups = []
-        for key in sorted(table, key=lambda k: (-k[0], k[2] if k[2] != _CLIPPED else 1 << 62, k[1])):
+        for key in sorted(table, key=lambda k: (-k[0], k[2], k[1])):
             profit, durations, off = key
             grp = _Group(profit, tuple(durations[c] for c in active), off)
             rel_ids = sorted(table[key])
@@ -326,14 +340,6 @@ class _Engine:
             R = g.releases
             hi = int(np.searchsorted(R, t1, side="right"))
             if hi == 0:
-                continue
-            if g.off == _CLIPPED:
-                if t2 > self.horizon:
-                    continue
-                for c in range(self.K):
-                    if g.durations[c] <= length:
-                        items.append((g.profit, c, hi, (gi, 0)))
-                        break
                 continue
             prev_lo = None
             for c in range(self.K):
@@ -431,11 +437,8 @@ class _Engine:
             if dmin > length or len(grp.releases) == 0:
                 continue
             hi = np.searchsorted(grp.releases, t1v, side="right")
-            if grp.off == _CLIPPED:
-                cnt = np.where(t2v <= self.horizon, hi, 0)
-            else:
-                lo = np.searchsorted(grp.releases, t1v + (dmin - grp.off), side="left")
-                cnt = np.maximum(hi - lo, 0)
+            lo = np.searchsorted(grp.releases, t1v + (dmin - grp.off), side="left")
+            cnt = np.maximum(hi - lo, 0)
             take = np.minimum(cnt, slots_left)
             bound += grp.profit * take
             slots_left -= take
@@ -494,49 +497,42 @@ def _check_machines(machines):
 def lsdsf_run(
     jobs: JobSet,
     machines: list[Machine],
-    horizon: int | None = None,
     txop: int = DEFAULT_TXOP_US,
     grid_us: int | None = None,
     config: RuConfiguration | None = None,
 ) -> tuple[Schedule, LocalSearchStats]:
     """Local-search scheduler over a fixed machine (RU) configuration."""
     phy = _check_machines(machines)
-    horizon = jobs.horizon if horizon is None else horizon
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
     classes = sorted({m.tone_class for m in machines})
     counts = np.array([[sum(1 for m in machines if m.tone_class == c) for c in classes]],
                       dtype=np.int64)
     ordered = tuple(sorted(machines, key=lambda m: (-int(m.tone_class), m.id)))
-    engine = _Engine(jobs, horizon, txop, grid_us, phy, classes, (config,), counts,
-                     lambda row: ordered)
+    engine = _Engine(jobs, txop, grid_us, phy, classes, (config,), counts, lambda row: ordered)
     engine.run()
     return engine.schedule(jobs), engine.stats
 
 
-def lsdsf(jobs, machines, horizon=None, txop=DEFAULT_TXOP_US, grid_us=None,
-          config=None) -> Schedule:
-    return lsdsf_run(jobs, machines, horizon, txop, grid_us, config)[0]
+def lsdsf(jobs, machines, txop=DEFAULT_TXOP_US, grid_us=None, config=None) -> Schedule:
+    return lsdsf_run(jobs, machines, txop, grid_us, config)[0]
 
 
 def lsds_run(
     jobs: JobSet,
     channel_width: int,
     phy: PhyProfile | None = None,
-    horizon: int | None = None,
     txop: int = DEFAULT_TXOP_US,
     grid_us: int | None = None,
 ) -> tuple[Schedule, LocalSearchStats]:
     """Local-search scheduler that also picks each batch's RU configuration."""
     phy = phy or PhyProfile()
-    horizon = jobs.horizon if horizon is None else horizon
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
     table = config_table(channel_width)
-    engine = _Engine(jobs, horizon, txop, grid_us, phy, TONE_CLASSES, table.configs,
-                     table.counts, lambda row: table.machines(row, phy))
+    engine = _Engine(jobs, txop, grid_us, phy, TONE_CLASSES, table.configs, table.counts,
+                     lambda row: table.machines(row, phy))
     engine.run()
     return engine.schedule(jobs), engine.stats
 
 
-def lsds(jobs, channel_width, phy=None, horizon=None, txop=DEFAULT_TXOP_US,
-         grid_us=None) -> Schedule:
-    return lsds_run(jobs, channel_width, phy, horizon, txop, grid_us)[0]
+def lsds(jobs, channel_width, phy=None, txop=DEFAULT_TXOP_US, grid_us=None) -> Schedule:
+    return lsds_run(jobs, channel_width, phy, txop, grid_us)[0]

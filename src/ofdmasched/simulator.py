@@ -6,18 +6,26 @@ one job per machine, admissibility of every assignment (release by the
 batch start, completion by batch end and deadline), bandwidth within the
 budget, pairwise disjoint batches, and no job in two batches. Violations
 come back as data; an empty list means the schedule is feasible.
+
+The best-effort overlay adds best-effort packets to a factory schedule
+without moving factory traffic: on the free RUs of its batches and in
+new batches between them, both chosen by the ``local_search`` kernel.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .benchmarks import greedy_benchmark
-from .local_search import default_grid_us, lsds_config_search, lsds_run, lsdsf_run
+from .local_search import default_grid_us, lsds_config_search, lsds_run, lsdsf_run, pick_jobs
 from .phy import (
+    TONE_CLASSES,
     PhyProfile,
     config_table,
     configuration_index,
@@ -59,20 +67,14 @@ DEFAULT_MCS_MAP = {
 @dataclass(frozen=True)
 class ChannelScenario:
     quality: str = "ideal"
-    mcs_map: dict = field(default_factory=lambda: dict(DEFAULT_MCS_MAP))
 
     def __post_init__(self):
         if self.quality not in CHANNEL_QUALITIES:
             raise ValueError(f"unknown channel quality: {self.quality}")
-        ordered = [self.mcs_map[q] for q in CHANNEL_QUALITIES]
-        if any(a < b for a, b in zip(ordered, ordered[1:])):
-            raise ValueError("mcs_map must be non-increasing with worsening quality")
-        if self.mcs_map["ideal"] != 11:
-            raise ValueError("ideal quality must map to MCS 11")
 
     def phy(self, base: PhyProfile | None = None) -> PhyProfile:
         base = base or PhyProfile()
-        return replace(base, mcs=self.mcs_map[self.quality])
+        return replace(base, mcs=DEFAULT_MCS_MAP[self.quality])
 
 
 def validate_schedule(
@@ -236,8 +238,11 @@ def run_scenario(
 
 # ---- best-effort traffic ----------------------------------------------------
 
+BEST_EFFORT_NODES = 3
+BEST_EFFORT_PROFIT = 2.0
 
-@dataclass
+
+@dataclass(frozen=True)
 class BestEffortPacket:
     id: int
     arrival_us: int
@@ -255,16 +260,15 @@ def generate_best_effort(
     horizon: int,
     seed: int,
     size: int = 1500,
-    nodes: int = 3,
-    initial_profit: float = 2.0,
 ) -> list[BestEffortPacket]:
-    """Poisson best-effort arrivals totalling ``mean_load_mbps`` offered load."""
-    packets = []
+    """Poisson best-effort arrivals from ``BEST_EFFORT_NODES`` nodes totalling
+    ``mean_load_mbps`` offered load, numbered in arrival order."""
     if mean_load_mbps <= 0:
-        return packets
-    rate_per_node = mean_load_mbps * 1e6 / (size * 8) / nodes  # packets per second
+        return []
+    rate_per_node = mean_load_mbps * 1e6 / (size * 8) / BEST_EFFORT_NODES  # packets per second
     mean_us = 1e6 / rate_per_node
-    for node in range(nodes):
+    arrivals = []
+    for node in range(BEST_EFFORT_NODES):
         rng = random.Random(f"{seed}:best-effort:{node}")
         t = 0.0
         while True:
@@ -272,11 +276,9 @@ def generate_best_effort(
             arrival = int(t)
             if arrival >= horizon:
                 break
-            packets.append(BestEffortPacket(0, arrival, size, initial_profit))
-    packets.sort(key=lambda p: p.arrival_us)
-    for i, p in enumerate(packets):
-        p.id = i
-    return packets
+            arrivals.append(arrival)
+    return [BestEffortPacket(i, arrival, size, BEST_EFFORT_PROFIT)
+            for i, arrival in enumerate(sorted(arrivals))]
 
 
 def best_effort_overlay(
@@ -286,130 +288,102 @@ def best_effort_overlay(
     channel_width: int,
     phy: PhyProfile | None = None,
     txop: int = 4_000,
-    critical_threshold: float | None = None,
 ) -> tuple[Schedule, float, float]:
     """Admit best-effort packets onto the factory schedule's spare capacity.
 
-    Factory assignments are never touched: best-effort packets ride free
+    Packet ``p`` becomes job ``first + p.id``, ``first`` being one past the
+    highest factory id, released at its arrival with the horizon as its
+    deadline. Factory assignments are never touched: packets ride the free
     RUs of existing batches, and the idle time between batches is filled
-    with extra best-effort-only batches, each taking the configuration and
-    packets of ``lsds_config_search``. A packet that keeps missing
-    rounds has its profit escalated toward ``critical_threshold``, which
-    raises its admission priority. Returns the augmented schedule, the
-    satisfaction ratio (throughput achieved / offered) and the fraction
-    of total RU-time consumed by best-effort traffic.
+    with best-effort-only batches. Both steps take their packets from the
+    ``local_search`` kernel, free RUs as a one-row table and gaps through
+    ``lsds_config_search``; the chosen packets go most constrained first,
+    then by id, onto the widest free RU. A packet that misses a factory
+    batch has its profit escalated toward the highest factory profit,
+    which raises its admission priority. Returns the augmented schedule,
+    the satisfaction ratio (bits delivered / offered) and best-effort
+    airtime: RU bandwidth x transmission duration, summed over its
+    packets, as a fraction of root-RU tones x horizon.
     """
     phy = phy or PhyProfile()
-    if critical_threshold is None:
-        critical_threshold = max((j.profit for j in jobs.jobs), default=1.0)
+    top = max((j.profit for j in jobs.jobs), default=1.0)
     horizon = jobs.horizon
-    offered_bits = sum(p.size * 8 for p in be_packets)
+    first = max((j.id for j in jobs.jobs), default=-1) + 1
+    # unserved packets, in release order
+    waiting = sorted((Job(id=first + p.id, station=-1, release=p.arrival_us,
+                          deadline_abs=horizon, profit=p.profit, size=p.size,
+                          app="best-effort") for p in be_packets),
+                     key=lambda j: j.release)
+    served: dict[int, Job] = {}
 
-    be_id_base = (max((j.id for j in jobs.jobs), default=-1)) + 1
-    pending = [BestEffortPacket(be_id_base + p.id, p.arrival_us, p.size, p.profit)
-               for p in be_packets]
-    be_jobs = {
-        p.id: Job(id=p.id, station=-1, release=p.arrival_us, deadline_abs=horizon,
-                  profit=p.profit, size=p.size, app="best-effort")
-        for p in pending
-    }
+    def arrived(t):
+        return bisect.bisect_right(waiting, t, key=lambda j: j.release)
 
-    delivered_bits = 0
-    be_ru_time = 0  # tone-microseconds
-    new_batches = []
-    augmented = []
-    waiting: list[BestEffortPacket] = []
-    queue = list(pending)
-    qi = 0
+    def serve(placed, t):
+        served.update((j.id, j) for j in placed)
+        n = arrived(t)
+        waiting[:n] = [j for j in waiting[:n] if j.id not in served]
 
     def admit_on_free(batch):
-        nonlocal delivered_bits, be_ru_time
-        t1, t2 = batch.interval.start, batch.interval.end
         used = {m for _, m in batch.assignments}
+        # machines run widest first, so free RUs do too
         free = [i for i in range(len(batch.machines)) if i not in used]
-        free.sort(key=lambda i: int(batch.machines[i].tone_class))  # smallest first
-        extra = []
-        waiting.sort(key=lambda p: (-p.profit, p.id))
-        for p in list(waiting):
-            if p.arrival_us > t1 or not free:
-                continue
-            chosen = None
-            for idx in free:
-                if t1 + tx_duration(p.size, batch.machines[idx]) <= t2:
-                    chosen = idx
-                    break
-            if chosen is None:
-                continue
-            free.remove(chosen)
-            extra.append((p.id, chosen))
-            waiting.remove(p)
-            delivered_bits += p.size * 8
-            be_ru_time += batch.machines[chosen].bandwidth * (t2 - t1)
-        if extra:
-            return Batch(interval=batch.interval,
-                         assignments=tuple(sorted(batch.assignments + tuple(extra))),
-                         machines=batch.machines, config=batch.config)
-        return batch
+        if not free:
+            return batch
+        counts = np.bincount([TONE_CLASSES.index(batch.machines[i].tone_class) for i in free],
+                             minlength=len(TONE_CLASSES))
+        _, placed = pick_jobs(waiting[: arrived(batch.interval.start)], batch.interval,
+                              counts[None, :], phy)
+        if not placed:
+            return batch
+        serve(placed, batch.interval.start)
+        extra = tuple((job.id, free[k]) for k, job in enumerate(placed))
+        return replace(batch, assignments=tuple(sorted(batch.assignments + extra)))
 
     def fill_gap(gap_start, gap_end):
-        nonlocal delivered_bits, be_ru_time
         t = gap_start
         while t < gap_end and waiting:
-            candidates = [be_jobs[p.id] for p in waiting if p.arrival_us <= t]
-            if not candidates:
-                arrivals = [p.arrival_us for p in waiting if p.arrival_us > t]
-                if not arrivals:
-                    break
-                t = min(arrivals)
+            n = arrived(t)
+            if n == 0:
+                t = waiting[0].release
                 continue
             end_limit = min(gap_end, t + txop)
             if end_limit - t < 16:
                 break
             config, pairs, matched = lsds_config_search(
-                candidates, Interval(t, end_limit), channel_width, phy)
+                waiting[:n], Interval(t, end_limit), channel_width, phy)
             if not matched:
                 break
+            serve(matched, t)
             machines = config_table(channel_width).machines(configuration_index(config), phy)
-            batch_end = t
-            for job_id, m_idx in pairs:
-                job = be_jobs[job_id]
-                d = tx_duration(job.size, machines[m_idx])
-                batch_end = max(batch_end, t + d)
-                delivered_bits += job.size * 8
-                be_ru_time += machines[m_idx].bandwidth * d
-            new_batches.append(Batch(
-                interval=Interval(t, batch_end),
-                assignments=tuple(sorted(pairs)),
-                machines=machines, config=config,
-            ))
-            matched_ids = {j.id for j in matched}
-            waiting[:] = [p for p in waiting if p.id not in matched_ids]
+            batch_end = max(t + tx_duration(served[i].size, machines[m]) for i, m in pairs)
+            gap_batches.append(Batch(interval=Interval(t, batch_end),
+                                     assignments=tuple(sorted(pairs)),
+                                     machines=machines, config=config))
             t = batch_end + 1
 
-    ordered = sorted(base_schedule.batches, key=lambda b: b.interval.start)
+    augmented = []
+    gap_batches = []
     cursor = 0
-    for batch in ordered:
-        while qi < len(queue) and queue[qi].arrival_us <= batch.interval.start:
-            waiting.append(queue[qi])
-            qi += 1
-        if batch.interval.start - cursor > 1:
-            fill_gap(cursor + 1, batch.interval.start - 1)
+    for batch in sorted(base_schedule.batches, key=lambda b: b.interval.start):
+        start = batch.interval.start
+        if start - cursor > 1:
+            fill_gap(cursor + 1, start - 1)
         augmented.append(admit_on_free(batch))
-        for p in waiting:
-            if p.arrival_us <= batch.interval.start:
-                p.profit = escalate_profit(p.profit, critical_threshold)
-                be_jobs[p.id] = replace(be_jobs[p.id], profit=p.profit)
+        n = arrived(start)
+        waiting[:n] = [replace(j, profit=escalate_profit(j.profit, top)) for j in waiting[:n]]
         cursor = batch.interval.end
-    while qi < len(queue):
-        waiting.append(queue[qi])
-        qi += 1
     if horizon - cursor > 1:
         fill_gap(cursor + 1, horizon)
 
     profit_of = {j.id: j.profit for j in jobs.jobs}
-    profit_of.update({j.id: j.profit for j in be_jobs.values()})
-    schedule = make_schedule(augmented + new_batches, profit_of)
+    profit_of.update((j.id, j.profit) for j in served.values())
+    schedule = make_schedule(augmented + gap_batches, profit_of)
 
+    sent = [(served[i], b.machines[m])
+            for b in schedule.batches for i, m in b.assignments if i in served]
+    delivered_bits = sum(job.size * 8 for job, _ in sent)
+    airtime = sum(m.bandwidth * tx_duration(job.size, m) for job, m in sent)
+    offered_bits = sum(p.size * 8 for p in be_packets)
     satisfaction = 1.0 if offered_bits == 0 else delivered_bits / offered_bits
-    utilization = be_ru_time / (root_tones(channel_width) * horizon)
-    return schedule, satisfaction, utilization
+    return schedule, satisfaction, airtime / (root_tones(channel_width) * horizon)

@@ -8,12 +8,12 @@ weight bipartite matching with the application profit on every edge.
 Each packet's slots form one interval, so the graph is convex and an
 interval greedy solves it exactly (see ``_window_batches``).
 
-The optimal variant builds the graph over one full hyper-period (the
-LCM of the periods, after which the arrival pattern repeats), so its
-matching is the true optimum; the windowed heuristic
-(``slotted_schedule`` with ``window_n``) looks only ``window_n`` slots
-ahead and keeps a record of already-scheduled packets so they do not
-reappear in later windows. Both are restricted to equal-RU
+``slotted_schedule`` without ``window_n`` builds the graph over one full
+hyper-period at a time (the LCM of the periods, after which the arrival
+pattern repeats), so its matching is the true optimum; with
+``window_n`` it is the windowed heuristic, which looks only ``window_n``
+slots ahead and keeps a record of already-scheduled packets so they do
+not reappear in later windows. Both are restricted to equal-RU
 configurations and reject anything else.
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "SlottedApp",
     "slotted_apps_from_profiles",
     "slotted_jobset",
-    "slotted_optimal",
     "slotted_schedule",
 ]
 
@@ -192,24 +191,6 @@ def _window_batches(packets, config, phy, w_start, w_len):
     return batches
 
 
-def _schedule_of(batches, jobset):
-    return make_schedule(batches, {j.id: j.profit for j in jobset.jobs}), jobset
-
-
-def slotted_optimal(
-    apps: list[SlottedApp],
-    config: RuConfiguration,
-    start_slot: int = 0,
-    phy: PhyProfile | None = None,
-) -> tuple[Schedule, JobSet]:
-    """Optimal packet-to-RU matching over one hyper-period from start_slot."""
-    phy = phy or PhyProfile()
-    lcm = _hyperperiod(apps)
-    jobset = slotted_jobset(apps, start_slot + lcm)
-    packets = [j for j in jobset.jobs if j.deadline_abs > start_slot * SLOT_US]
-    return _schedule_of(_window_batches(packets, config, phy, start_slot, lcm), jobset)
-
-
 def slotted_schedule(
     apps: list[SlottedApp],
     config: RuConfiguration,
@@ -242,4 +223,4 @@ def slotted_schedule(
         matched = {j for b in window for j in b.job_ids}
         waiting = [j for j in waiting if j.id not in matched]
         batches.extend(window)
-    return _schedule_of(batches, jobset)
+    return make_schedule(batches, {j.id: j.profit for j in jobset.jobs}), jobset

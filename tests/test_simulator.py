@@ -3,9 +3,21 @@ import pytest
 from ofdmasched import simulator
 from ofdmasched.local_search import lsds
 from ofdmasched.matching import lsds_config_search as oracle_config_search
-from ofdmasched.phy import PhyProfile, RuToneClass, full_26_tone_configuration, machines_for_configuration, tx_duration_us
-from ofdmasched.scheduling import Batch, Interval
+from ofdmasched.phy import (
+    PhyProfile,
+    RuConfiguration,
+    RuToneClass,
+    full_26_tone_configuration,
+    machines_for_configuration,
+    root_tones,
+    tx_duration,
+    tx_duration_us,
+)
+from ofdmasched.scheduling import Batch, Interval, make_schedule
 from ofdmasched.simulator import (
+    CHANNEL_QUALITIES,
+    DEFAULT_MCS_MAP,
+    BestEffortPacket,
     ChannelScenario,
     best_effort_overlay,
     escalate_profit,
@@ -77,9 +89,9 @@ def test_channel_scenario_map_validation():
     assert ChannelScenario("very_poor").phy().mcs == 0
     with pytest.raises(ValueError):
         ChannelScenario("foggy")
-    with pytest.raises(ValueError):
-        ChannelScenario("ideal", {"ideal": 11, "slightly_poor": 5,
-                                  "moderately_poor": 7, "very_poor": 4})
+    ladder = [DEFAULT_MCS_MAP[q] for q in CHANNEL_QUALITIES]
+    assert ladder[0] == DEFAULT_MCS_MAP["ideal"] == 11
+    assert all(a >= b for a, b in zip(ladder, ladder[1:]))
 
 
 def test_run_scenario_uc4_ideal_zero_drops():
@@ -216,3 +228,29 @@ def test_overlay_admits_best_effort_on_free_rus():
                     for p in packets)
     union = JobSet(jobs=js.jobs + be_jobs, horizon=js.horizon, seed=js.seed)
     assert validate_schedule(out, union, 40, PHY, 4_000) == []
+
+
+def test_overlay_free_ru_admission_on_the_kernel():
+    # 20 MHz {2x106, 1x26}: a factory job holds RU 0, leaving a 106-tone
+    # and a 26-tone RU; both packets fit either free RU
+    config = RuConfiguration((1, 0, 2, 0, 0, 0), 20)
+    machines = tuple(machines_for_configuration(config, PHY))
+    js = JobSet(jobs=(Job(id=0, station=0, release=1_000, deadline_abs=1_400,
+                          profit=10.0, size=100),), horizon=10_000, seed=0)
+    base = make_schedule([Batch(interval=Interval(1_000, 1_400), assignments=((0, 0),),
+                                machines=machines, config=config)], {0: 10.0})
+    packets = [BestEffortPacket(0, 999, 30, 5.0), BestEffortPacket(1, 999, 600, 2.0)]
+    out, satisfaction, utilization = best_effort_overlay(base, js, packets, 20, PHY)
+
+    (batch,) = out.batches
+    assert satisfaction == 1.0
+    # the kernel's placement: most constrained first, then by id, widest RU first
+    assert batch.assignments == ((0, 0), (1, 1), (2, 2))
+    airtime = 0
+    for job_id, m in batch.assignments[1:]:
+        p = packets[job_id - 1]
+        d = tx_duration(p.size, machines[m])
+        assert p.arrival_us <= batch.interval.start
+        assert batch.interval.start + d <= batch.interval.end
+        airtime += machines[m].bandwidth * d
+    assert utilization == airtime / (root_tones(20) * js.horizon)

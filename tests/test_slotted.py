@@ -17,7 +17,6 @@ from ofdmasched.slotted import (
     SlottedApp,
     slotted_apps_from_profiles,
     slotted_jobset,
-    slotted_optimal,
     slotted_schedule,
 )
 from ofdmasched.workload import ApplicationProfile
@@ -45,7 +44,7 @@ def test_deviation_example_window_one_loses_one():
 def test_deviation_example_window_two_and_optimal_lose_nothing():
     schedule, jobs = slotted_schedule(DEVIATION_APPS, TWO_242, 2, window_n=2)
     assert dropped_profit(schedule, jobs) == 0.0
-    schedule, jobs = slotted_optimal(DEVIATION_APPS, TWO_242)
+    schedule, jobs = slotted_schedule(DEVIATION_APPS, TWO_242, 2)
     assert dropped_profit(schedule, jobs) == 0.0
 
 
@@ -93,19 +92,19 @@ def test_window_must_be_positive(window_n):
 def test_lcm_guard():
     apps = [SlottedApp("p", 101, 10, 1, 1.0), SlottedApp("q", 103, 10, 1, 1.0)]
     with pytest.raises(ValueError):
-        slotted_optimal(apps, TWO_242)
+        slotted_schedule(apps, TWO_242, math.lcm(101, 103))
 
 
 def test_non_equal_configuration_rejected():
     mixed = RuConfiguration((1, 0, 2, 0, 0, 0), 20)
     with pytest.raises(ValueError):
-        slotted_optimal(DEVIATION_APPS, mixed)
+        slotted_schedule(DEVIATION_APPS, mixed, 2)
 
 
 def test_oversized_packet_rejected():
     apps = [SlottedApp("big", 2, 300_000, 1, 1.0)]
     with pytest.raises(ValueError):
-        slotted_optimal(apps, TWO_242)
+        slotted_schedule(apps, TWO_242, 2)
 
 
 def test_profile_conversion_requires_slot_alignment():
@@ -162,6 +161,6 @@ def test_window_beyond_dense_matrix_size():
     # cells, but the interval table has one start and one end
     apps = [SlottedApp("bulk", 1000, 100, 999, 1.0, 300)]
     config = full_26_tone_configuration(40)
-    schedule, jobs = slotted_optimal(apps, config)
+    schedule, jobs = slotted_schedule(apps, config, 1000)
     assert len(schedule.scheduled_jobs) == len(jobs) == 300
     assert validate_schedule(schedule, jobs, 40, PHY, 4_000) == []
