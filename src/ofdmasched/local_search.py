@@ -20,6 +20,17 @@ as one row, and ``lsds_config_search`` the channel's configuration
 table for a gap fill. Tests check both against the Hungarian oracle in
 the matching module.
 
+A configuration table has up to 1827 rows (160 MHz), but what decides a
+row's greedy value is only its suffix capacities clipped at the demand of
+the items they bind. ``_config_search`` bounds every row, then evaluates
+one row per class of equal clipped capacities; the first row among the
+classes of best value wins, the same row a plain scan would pick.
+
+Committed batches are pairwise disjoint, so sorted by start they are
+sorted by end too; the engine keeps their starts, ends and weights in
+aligned lists, and the batches conflicting with an interval are one
+contiguous range found by two bisections.
+
 Between commits the candidate pool is fixed, so whole start ranges are
 screened with a vectorized upper bound; only intervals whose bound beats
 the commit threshold are evaluated exactly. Commits keep already-computed
@@ -131,7 +142,16 @@ def _eval_configs(items, suffix_rows):
 def _config_search(items, value, suffix_rows):
     """Row of ``suffix_rows`` with the highest greedy value of ``items``,
     the first such row on ties, and that value; ``value`` is the items'
-    greedy value under capacities no row exceeds."""
+    greedy value under capacities no row exceeds.
+
+    Entry k of a row binds only items with ``c_min >= k``, which take at
+    most ``D_k`` (their total count) from it, so clipping it at ``D_k``
+    leaves every take of ``_greedy`` unchanged. Rows with equal clipped
+    vectors form one class: they take the same items in the same order, so
+    their values are bit-identical and one row per class is evaluated. The
+    winner is the smallest first row among the classes of best value,
+    which is the first row of best value.
+    """
     if len(suffix_rows) == 1 or not items:
         return 0, value
     counts = np.array([t[2] for t in items], dtype=np.int64)
@@ -143,16 +163,26 @@ def _config_search(items, value, suffix_rows):
     # the best ``k`` items bound a row with ``k`` RUs; evaluate the row with
     # the highest bound, then only the rows whose bound reaches its value
     k = np.minimum(suffix_rows[:, 0], total)
-    idx = np.searchsorted(cum_counts, k, side="left")
+    idx = cum_counts.searchsorted(k, side="left")
     bound = cum_profit[idx] - (cum_counts[idx] - k) * np.where(idx > 0, profits[np.maximum(idx - 1, 0)], 0.0)
 
     first = int(np.argmax(bound))
     v0 = _eval_configs(items, suffix_rows[first: first + 1])[0]
     # bound and value sum in different orders, so allow for rounding
     cand = np.nonzero(bound >= v0 - 1e-9 * v0)[0]
-    values = _eval_configs(items, suffix_rows[cand])
+    rows = suffix_rows[cand]
+
+    demand = [0] * suffix_rows.shape[1]
+    for _, c, count, _ in items:
+        demand[c] += count
+    # capped at the column maxima, the mixed-radix key stays below
+    # prod(max + 1), far inside int64 for any channel's RU counts
+    cap = np.minimum(_suffix(np.array(demand, dtype=np.int64)), rows.max(axis=0))
+    radix = np.concatenate(([1], np.cumprod(cap[:-1] + 1)))
+    _, first_of_class = np.unique(np.minimum(rows, cap) @ radix, return_index=True)
+    values = _eval_configs(items, rows[first_of_class])
     best = float(values.max())
-    winner = int(cand[int(np.argmax(values == best))])
+    winner = int(cand[first_of_class[values == best].min()])
     return winner, best
 
 
@@ -234,12 +264,9 @@ class _Group:
 
 
 class _CommittedBatch:
-    __slots__ = ("t1", "t2", "weight", "assignments", "config", "machines", "pool_refs")
+    __slots__ = ("assignments", "config", "machines", "pool_refs")
 
-    def __init__(self, t1, t2, weight, assignments, config, machines, pool_refs):
-        self.t1 = t1
-        self.t2 = t2
-        self.weight = weight
+    def __init__(self, assignments, config, machines, pool_refs):
         self.assignments = assignments      # (job_id, machine_index) pairs
         self.config = config
         self.machines = machines
@@ -278,7 +305,12 @@ class _Engine:
 
         self._build_groups(jobset, [TONE_CLASSES.index(c) for c in classes],
                            np.nonzero(active)[0])
-        self.batches: list[_CommittedBatch] = []  # kept sorted by t1
+        # committed batches, disjoint and so sorted by t1 and by t2 alike,
+        # with their starts, ends and weights in aligned lists
+        self.batches: list[_CommittedBatch] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.weights: list[float] = []
 
     # ---- pool construction -------------------------------------------------
 
@@ -307,20 +339,16 @@ class _Engine:
 
     def _conflict_range(self, t1, t2):
         """Indices of committed batches sharing a point with [t1, t2]."""
-        ends = [b.t2 for b in self.batches]
-        starts = [b.t1 for b in self.batches]
-        lo = bisect.bisect_left(ends, t1)
-        hi = bisect.bisect_right(starts, t2)
-        return lo, hi
+        return bisect.bisect_left(self.ends, t1), bisect.bisect_right(self.starts, t2)
 
     def _conflict_weight_vector(self, t1v, t2v):
         if not self.batches:
             return np.zeros(len(t1v))
-        starts = np.array([b.t1 for b in self.batches], dtype=np.int64)
-        ends = np.array([b.t2 for b in self.batches], dtype=np.int64)
-        cumw = np.concatenate(([0.0], np.cumsum([b.weight for b in self.batches])))
-        hi = np.searchsorted(starts, t2v, side="right")
-        lo = np.searchsorted(ends, t1v, side="left")
+        starts = np.array(self.starts, dtype=np.int64)
+        ends = np.array(self.ends, dtype=np.int64)
+        cumw = np.concatenate(([0.0], np.cumsum(self.weights)))
+        hi = starts.searchsorted(t2v, side="right")
+        lo = ends.searchsorted(t1v, side="left")
         return cumw[hi] - cumw[lo]
 
     # ---- per-interval evaluation -------------------------------------------
@@ -338,7 +366,7 @@ class _Engine:
             if g.durations[-1] > length:
                 continue
             R = g.releases
-            hi = int(np.searchsorted(R, t1, side="right"))
+            hi = int(R.searchsorted(t1, side="right"))
             if hi == 0:
                 continue
             prev_lo = None
@@ -346,7 +374,7 @@ class _Engine:
                 d = g.durations[c]
                 if d > length:
                     continue
-                lo = int(np.searchsorted(R, t1 + d - g.off, side="left"))
+                lo = int(R.searchsorted(t1 + d - g.off, side="left"))
                 lo = min(lo, hi)
                 top = hi if prev_lo is None else min(prev_lo, hi)
                 if lo < top:
@@ -404,15 +432,19 @@ class _Engine:
 
         lo_b, hi_b = self._conflict_range(t1, t2)
         evicted = self.batches[lo_b:hi_b]
-        evicted_weight = sum(b.weight for b in evicted)
-        del self.batches[lo_b:hi_b]
+        evicted_weight = sum(self.weights[lo_b:hi_b])
         for b in evicted:
             for gi, releases, ids in b.pool_refs:
                 self.groups[gi].add(releases, ids)
 
-        batch = _CommittedBatch(t1, t2, weight, tuple(sorted(assignments)),
+        # every batch before lo_b ends before t1 and every one from hi_b on
+        # starts after t2, so the new batch takes the evicted ones' place
+        batch = _CommittedBatch(tuple(sorted(assignments)),
                                 self.configs[row], self.machines(row), pool_refs)
-        bisect.insort(self.batches, batch, key=lambda b: b.t1)
+        self.batches[lo_b:hi_b] = [batch]
+        self.starts[lo_b:hi_b] = [t1]
+        self.ends[lo_b:hi_b] = [t2]
+        self.weights[lo_b:hi_b] = [weight]
         self.stats.commits += 1
         self.stats.evictions += len(evicted)
         self.stats.commit_log.append((weight, evicted_weight))
@@ -456,7 +488,7 @@ class _Engine:
                     t1 = int(idx) * g
                     t2 = t1 + l_units * g
                     lo_b, hi_b = self._conflict_range(t1, t2)
-                    conflict_w = sum(b.weight for b in self.batches[lo_b:hi_b])
+                    conflict_w = sum(self.weights[lo_b:hi_b])
 
                     items = self._items_for(t1, t2)
                     if not items:
@@ -478,9 +510,9 @@ class _Engine:
     def schedule(self, jobset):
         profit_of = {j.id: j.profit for j in jobset.jobs}
         batches = [
-            Batch(interval=Interval(b.t1, b.t2), assignments=b.assignments,
+            Batch(interval=Interval(t1, t2), assignments=b.assignments,
                   machines=tuple(b.machines), config=b.config)
-            for b in self.batches
+            for t1, t2, b in zip(self.starts, self.ends, self.batches)
         ]
         return make_schedule(batches, profit_of)
 

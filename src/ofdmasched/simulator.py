@@ -308,6 +308,10 @@ def best_effort_overlay(
     phy = phy or PhyProfile()
     top = max((j.profit for j in jobs.jobs), default=1.0)
     horizon = jobs.horizon
+    late = next((p for p in be_packets if p.arrival_us >= horizon), None)
+    if late is not None:
+        raise ValueError(f"best-effort packet {late.id} arrives at {late.arrival_us} us, "
+                         f"not before the horizon {horizon} us")
     first = max((j.id for j in jobs.jobs), default=-1) + 1
     # unserved packets, in release order
     waiting = sorted((Job(id=first + p.id, station=-1, release=p.arrival_us,

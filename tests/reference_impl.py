@@ -2,14 +2,16 @@
 
 These walk the same double loop as the production schedulers but solve
 every interval with the matching module's Hungarian-based max_profit /
-configuration search, keeping no incremental state.
+configuration search, keeping no incremental state. Pass a list as
+``log`` to receive each commit's (weight, evicted weight), in the order of
+``LocalSearchStats.commit_log``.
 """
 
 from ofdmasched.matching import lsds_config_search, max_profit
 from ofdmasched.scheduling import Interval, conflicts
 
 
-def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None):
+def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None, log=None):
     horizon = jobset.horizon if horizon is None else horizon
     t_units = horizon // grid_us
     delta = min(txop // grid_us, t_units)
@@ -21,7 +23,10 @@ def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None):
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             matching, matched = max_profit(pool, interval, machines)
             conflicting = [c for c in committed if conflicts(c[0], interval)]
-            if matching.total_weight > 2 * sum(c[2] for c in conflicting):
+            evicted_weight = sum(c[2] for c in conflicting)
+            if matching.total_weight > 2 * evicted_weight:
+                if log is not None:
+                    log.append((matching.total_weight, evicted_weight))
                 for c in conflicting:
                     committed.remove(c)
                     scheduled -= c[1]
@@ -31,7 +36,7 @@ def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None):
     return committed, scheduled
 
 
-def reference_lsds(jobset, channel_width, phy, txop, grid_us, horizon=None):
+def reference_lsds(jobset, channel_width, phy, txop, grid_us, horizon=None, log=None):
     horizon = jobset.horizon if horizon is None else horizon
     t_units = horizon // grid_us
     delta = min(txop // grid_us, t_units)
@@ -43,7 +48,10 @@ def reference_lsds(jobset, channel_width, phy, txop, grid_us, horizon=None):
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             config, matching, matched = lsds_config_search(pool, interval, channel_width, phy)
             conflicting = [c for c in committed if conflicts(c[0], interval)]
-            if matching.total_weight > 2 * sum(c[2] for c in conflicting):
+            evicted_weight = sum(c[2] for c in conflicting)
+            if matching.total_weight > 2 * evicted_weight:
+                if log is not None:
+                    log.append((matching.total_weight, evicted_weight))
                 for c in conflicting:
                     committed.remove(c)
                     scheduled -= c[1]

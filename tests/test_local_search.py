@@ -1,14 +1,28 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ofdmasched.exhaustive import brute_force_optimal
-from ofdmasched.local_search import lsds, lsds_config_search, lsds_run, lsdsf, lsdsf_run
+from ofdmasched.local_search import (
+    _config_search,
+    _eval_configs,
+    _greedy,
+    _suffix,
+    lsds,
+    lsds_config_search,
+    lsds_run,
+    lsdsf,
+    lsdsf_run,
+)
 from ofdmasched.matching import lsds_config_search as oracle_config_search
 from ofdmasched.phy import (
     Machine,
     PhyProfile,
     RuToneClass,
+    config_table,
     enumerate_configurations,
     machines_for_configuration,
     phy_rate,
@@ -270,3 +284,109 @@ def test_lsds_config_search_matches_hungarian_oracle(width, mcs):
             assert job.release <= interval.start
             assert interval.start + tx_duration(job.size, machines[m]) \
                 <= min(interval.end, job.deadline_abs)
+
+
+@st.composite
+def config_search_cases(draw):
+    """Items over a channel's active classes and a subset of its table rows.
+
+    Counts reach past the table's column maxima, so the class key's radix
+    cap is exercised; profits are integral or fractional.
+    """
+    table = config_table(draw(st.sampled_from([20, 40, 80, 160]))).counts
+    counts = table[:, table.any(axis=0)]
+    n_classes = counts.shape[1]
+    rows = draw(st.one_of(
+        st.just(list(range(len(counts)))),
+        st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=60, unique=True),
+    ))
+    counts = counts[sorted(rows)]
+    most = int(_suffix(counts).max())
+    # few distinct integral profits make ties between rows common
+    profit = st.one_of(st.integers(1, 20).map(float),
+                       st.floats(0.01, 60.0, allow_nan=False, allow_infinity=False))
+    count = st.one_of(st.integers(1, 4), st.integers(1, most + 8))
+    drawn = draw(st.lists(st.tuples(profit, st.integers(0, n_classes - 1), count),
+                          min_size=1, max_size=10))
+    items = [(p, c, n, i) for i, (p, c, n) in
+             enumerate(sorted(drawn, key=lambda t: -t[0]))]
+    return items, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_search_cases())
+def test_config_search_equals_plain_argmax_over_all_rows(case):
+    items, counts = case
+    suffix_rows = _suffix(counts)
+    value, _ = _greedy(items, _suffix(counts.max(axis=0)))
+    values = _eval_configs(items, suffix_rows)
+    want = int(np.argmax(values == values.max()))  # first row of best value
+    assert _config_search(items, value, suffix_rows) == (want, float(values[want]))
+
+
+def evicting_instance(first_profit_exp, gap, small_size, large_size):
+    """Job 0 fills the one RU for [0, 16] and commits at length 1; job 1
+    needs all of [0, 32] and is worth more than twice job 0, so length 2
+    evicts job 0."""
+    return JobSet(jobs=(
+        Job(id=0, station=0, release=0, deadline_abs=16,
+            profit=float(2 ** first_profit_exp), size=small_size),
+        Job(id=1, station=1, release=0, deadline_abs=32,
+            profit=float(2 ** (first_profit_exp + gap)), size=large_size),
+    ), horizon=32, seed=0)
+
+
+@st.composite
+def micro_instances(draw, max_jobs=7):
+    """``micro_instance`` drawn by hypothesis: distinct power-of-two profits,
+    so every exact solver picks the same job set."""
+    exps = draw(st.lists(st.integers(1, 12), min_size=2, max_size=max_jobs, unique=True))
+    jobs = []
+    for i, e in enumerate(exps):
+        release = 16 * draw(st.integers(0, 8))
+        deadline = min(release + 16 * draw(st.integers(1, 9)), 192 + 64)
+        jobs.append(Job(id=i, station=i, release=release, deadline_abs=deadline,
+                        profit=float(2 ** e), size=draw(st.integers(1, 140))))
+    return JobSet(jobs=tuple(jobs), horizon=192, seed=0)
+
+
+evicting_instances = st.builds(evicting_instance, st.integers(1, 8), st.integers(2, 4),
+                               st.integers(1, 25), st.integers(26, 50))
+
+
+def assert_same_trajectory(schedule, stats, committed, scheduled, log):
+    assert stats.commit_log == log
+    assert stats.commits == len(log)
+    got = {(b.interval.start, b.interval.end): frozenset(j for j, _ in b.assignments)
+           for b in schedule.batches}
+    assert got == {(c[0].start, c[0].end): c[1] for c in committed}
+    assert schedule.scheduled_jobs == scheduled
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(micro_instances(), evicting_instances), st.integers(1, 3),
+       st.sampled_from([RuToneClass.RU26, RuToneClass.RU52, RuToneClass.RU106]),
+       st.integers(2, 4))
+@example(evicting_instance(3, 2, 20, 40), 1, RuToneClass.RU26, 2)
+def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_units):
+    machines = [machine(RuToneClass.RU26, 0)] + \
+        [machine(widest, i) for i in range(1, n_machines)]
+    txop = 16 * txop_units
+    schedule, stats = lsdsf_run(jobset, machines, txop=txop, grid_us=16)
+    log = []
+    committed, scheduled = reference_lsdsf(jobset, machines, txop=txop, grid_us=16, log=log)
+    assert_same_trajectory(schedule, stats, committed, scheduled, log)
+    if len(jobset.jobs) == 2 and len(machines) == 1 and jobset.horizon == 32:
+        assert stats.evictions == 1  # the evicting family does evict
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(micro_instances(max_jobs=5), st.integers(1, 3))
+def test_lsds_follows_reference_trajectory(jobset, txop_units):
+    txop = 16 * txop_units
+    schedule, stats = lsds_run(jobset, 20, PHY0, txop=txop, grid_us=16)
+    log = []
+    committed, scheduled = reference_lsds(jobset, 20, PHY0, txop=txop, grid_us=16, log=log)
+    assert_same_trajectory(schedule, stats, committed, scheduled, log)
+    assert {(b.interval.start, b.interval.end): b.config.counts for b in schedule.batches} \
+        == {(c[0].start, c[0].end): c[3].counts for c in committed}

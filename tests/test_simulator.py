@@ -254,3 +254,13 @@ def test_overlay_free_ru_admission_on_the_kernel():
         assert batch.interval.start + d <= batch.interval.end
         airtime += machines[m].bandwidth * d
     assert utilization == airtime / (root_tones(20) * js.horizon)
+
+
+@pytest.mark.parametrize("arrival", [10_000, 12_345])
+def test_overlay_rejects_packet_arriving_at_or_after_horizon(arrival):
+    js = JobSet(jobs=(Job(id=0, station=0, release=1_000, deadline_abs=1_400,
+                          profit=10.0, size=100),), horizon=10_000, seed=0)
+    base = lsds(js, 20, PHY)
+    packets = [BestEffortPacket(0, 500, 300, 2.0), BestEffortPacket(7, arrival, 300, 2.0)]
+    with pytest.raises(ValueError, match=f"packet 7 arrives at {arrival} us"):
+        best_effort_overlay(base, js, packets, 20, PHY)
