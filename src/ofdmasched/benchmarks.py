@@ -71,6 +71,8 @@ def greedy_benchmark(
     """Round-based station-sorting scheduler (EDF, LRF or NLRF)."""
     if kind not in BENCHMARK_KINDS:
         raise ValueError(f"unknown benchmark kind: {kind}")
+    if txop <= 0:
+        raise ValueError(f"txop must be positive, got {txop}")
     phy = phy or PhyProfile()
     table = config_table(channel_width)
 

@@ -24,7 +24,10 @@ A configuration table has up to 1827 rows (160 MHz), but what decides a
 row's greedy value is only its suffix capacities clipped at the demand of
 the items they bind. ``_config_search`` bounds every row, then evaluates
 one row per class of equal clipped capacities; the first row among the
-classes of best value wins, the same row a plain scan would pick.
+classes of best value wins, the same row a plain scan would pick. The
+search reads its items only through ``(profit, c_min, count)``, and the
+engine's rows are fixed for a run, so ``_Engine.run`` searches each such
+signature once and answers repeats from a memo that lives for one run.
 
 Committed batches are pairwise disjoint, so sorted by start they are
 sorted by end too; the engine keeps their starts, ends and weights in
@@ -88,6 +91,8 @@ def default_grid_us(phy: PhyProfile) -> int:
 @dataclass
 class LocalSearchStats:
     candidate_intervals: int = 0
+    config_searches: int = 0            # intervals that reached the configuration search
+    config_searches_computed: int = 0   # of those, searches not answered by the run's memo
     commits: int = 0
     evictions: int = 0
     commit_log: list[tuple[float, float]] = field(default_factory=list)
@@ -151,6 +156,11 @@ def _config_search(items, value, suffix_rows):
     their values are bit-identical and one row per class is evaluated. The
     winner is the smallest first row among the classes of best value,
     which is the first row of best value.
+
+    The result depends on the items only through ``(profit, c_min,
+    count)`` in order: ``ref`` is never read, and ``value`` is used only
+    when there is a single row, where it is the items' own greedy value.
+    So ``_Engine.run`` memoizes it by that signature for one run.
     """
     if len(suffix_rows) == 1 or not items:
         return 0, value
@@ -253,9 +263,13 @@ class _Group:
         self.releases = None        # np.int64, sorted
         self.ids = None             # aligned job ids
 
-    def remove(self, positions):
-        self.releases = np.delete(self.releases, positions)
-        self.ids = np.delete(self.ids, positions)
+    def remove(self, spans):
+        """Drop the members at positions [lo, lo+n) for each (lo, n)."""
+        keep = np.ones(len(self.releases), dtype=bool)
+        for lo, n in spans:
+            keep[lo: lo + n] = False
+        self.releases = self.releases[keep]
+        self.ids = self.ids[keep]
 
     def add(self, releases, ids):
         pos = np.searchsorted(self.releases, releases)
@@ -311,6 +325,9 @@ class _Engine:
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.weights: list[float] = []
+        # _config_search results by (profit, c_min, count) of the takes; the
+        # rows are fixed for the engine's life, so entries never go stale
+        self.searched: dict[tuple, tuple[int, float]] = {}
 
     # ---- pool construction -------------------------------------------------
 
@@ -423,12 +440,12 @@ class _Engine:
             ids = g.ids[lo: lo + n]
             rels = g.releases[lo: lo + n]
             pool_refs.append((gi, rels.copy(), ids.copy()))
-            removals.setdefault(gi, []).extend(range(lo, lo + n))
+            removals.setdefault(gi, []).append((lo, n))
             for j in ids:
                 assignments.append((int(j), slot[cls]))
                 slot[cls] += 1
-        for gi, positions in removals.items():
-            self.groups[gi].remove(np.array(sorted(positions), dtype=np.int64))
+        for gi, spans in removals.items():
+            self.groups[gi].remove(spans)
 
         lo_b, hi_b = self._conflict_range(t1, t2)
         evicted = self.batches[lo_b:hi_b]
@@ -496,7 +513,13 @@ class _Engine:
                     value1, takes1 = _greedy(items, self.suffix_caps)
                     if value1 <= 2.0 * conflict_w:
                         continue
-                    winner, value = _config_search(takes1, value1, self.cfg_suffix)
+                    key = tuple(t[:3] for t in takes1)
+                    found = self.searched.get(key)
+                    if found is None:
+                        found = self.searched[key] = _config_search(takes1, value1, self.cfg_suffix)
+                        self.stats.config_searches_computed += 1
+                    self.stats.config_searches += 1
+                    winner, value = found
                     if value <= 2.0 * conflict_w:
                         continue
                     _, takes = _greedy(takes1, self.cfg_suffix[winner])

@@ -204,6 +204,10 @@ def slotted_schedule(
     integer runs the windowed heuristic: windows of ``window_n`` slots,
     each offered the packets that earlier windows left unmatched.
     """
+    if not apps:
+        raise ValueError("no slotted apps to schedule")
+    if horizon_slots < 1:
+        raise ValueError(f"horizon must be at least one slot, got {horizon_slots}")
     if window_n is not None and window_n < 1:
         raise ValueError("window must be at least one slot")
     phy = phy or PhyProfile()

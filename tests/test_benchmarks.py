@@ -14,6 +14,15 @@ def test_unknown_kind_rejected():
         greedy_benchmark("srpt", js, 40, PHY)
 
 
+@pytest.mark.parametrize("txop", [0, -5])
+def test_non_positive_txop_rejected(txop):
+    # a TXOP of zero fits no packet, so the schedule would be empty and
+    # still validate clean
+    js = load_use_case("UC1", 4_000, seed=1)
+    with pytest.raises(ValueError, match="txop"):
+        greedy_benchmark("edf", js, 40, PHY, txop=txop)
+
+
 def test_equal_profits_make_edf_and_lrf_behave_the_same():
     # every UC1 application has profit 10, so deadline order and
     # profit-to-deadline order coincide and the two schedulers tie

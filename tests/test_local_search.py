@@ -5,8 +5,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ofdmasched import local_search
 from ofdmasched.exhaustive import brute_force_optimal
 from ofdmasched.local_search import (
+    DEFAULT_TXOP_US,
     _config_search,
     _eval_configs,
     _greedy,
@@ -29,7 +31,7 @@ from ofdmasched.phy import (
     tx_duration,
 )
 from ofdmasched.scheduling import Interval
-from ofdmasched.workload import Job, JobSet
+from ofdmasched.workload import Job, JobSet, load_use_case
 
 from reference_impl import reference_lsds, reference_lsdsf
 
@@ -322,6 +324,45 @@ def test_config_search_equals_plain_argmax_over_all_rows(case):
     values = _eval_configs(items, suffix_rows)
     want = int(np.argmax(values == values.max()))  # first row of best value
     assert _config_search(items, value, suffix_rows) == (want, float(values[want]))
+
+
+@pytest.mark.parametrize("use_case, width, horizon, txop",
+                         [("UC3", 160, 2_000, 500), ("UC2", 40, 10_000, DEFAULT_TXOP_US)])
+def test_config_search_memo_hits_and_is_exact(monkeypatch, use_case, width, horizon, txop):
+    jobs = load_use_case(use_case, horizon, seed=1)
+    computed = []
+
+    def checked(items, value, suffix_rows):
+        got = _config_search(items, value, suffix_rows)
+        values = _eval_configs(items, suffix_rows)
+        want = int(np.argmax(values == values.max()))  # first row of best value
+        assert got == (want, float(values[want]))
+        computed.append(got)
+        return got
+
+    monkeypatch.setattr(local_search, "_config_search", checked)
+    schedule, first = lsds_run(jobs, width, txop=txop, grid_us=16)
+    assert first.config_searches > first.config_searches_computed == len(computed) > 0
+    # a second run on the same input starts with an empty memo
+    _, second = lsds_run(jobs, width, txop=txop, grid_us=16)
+    assert second.config_searches_computed == first.config_searches_computed
+
+    # every hit answers what a fresh search would: a run that searches
+    # each time gives the same schedule
+    class Forgetful(dict):
+        def get(self, key, default=None):
+            return default
+
+    init = local_search._Engine.__init__
+
+    def without_memo(self, *args):
+        init(self, *args)
+        self.searched = Forgetful()
+
+    monkeypatch.setattr(local_search._Engine, "__init__", without_memo)
+    fresh, stats = lsds_run(jobs, width, txop=txop, grid_us=16)
+    assert stats.config_searches_computed == stats.config_searches == first.config_searches
+    assert fresh == schedule
 
 
 def evicting_instance(first_profit_exp, gap, small_size, large_size):

@@ -89,6 +89,17 @@ def test_window_must_be_positive(window_n):
         slotted_schedule(DEVIATION_APPS, TWO_242, 4, window_n=window_n)
 
 
+def test_empty_app_set_rejected():
+    with pytest.raises(ValueError, match="no slotted apps"):
+        slotted_schedule([], TWO_242, 4)
+
+
+@pytest.mark.parametrize("horizon_slots", [0, -2])
+def test_horizon_must_be_positive(horizon_slots):
+    with pytest.raises(ValueError, match="horizon"):
+        slotted_schedule(DEVIATION_APPS, TWO_242, horizon_slots)
+
+
 def test_lcm_guard():
     apps = [SlottedApp("p", 101, 10, 1, 1.0), SlottedApp("q", 103, 10, 1, 1.0)]
     with pytest.raises(ValueError):
