@@ -6,8 +6,6 @@ from .phy import (
     RuConfiguration,
     RuToneClass,
     enumerate_configurations,
-    max_ru_counts,
-    phy_rate,
     tx_duration,
 )
 from .workload import ApplicationProfile, Job, JobSet, load_use_case
@@ -15,7 +13,6 @@ from .scheduling import Batch, Interval, Schedule
 from .local_search import lsds, lsdsf
 from .benchmarks import greedy_benchmark
 from .slotted import SlottedApp, slotted_schedule
-from .exhaustive import brute_force_optimal
 from .simulator import (
     ChannelScenario,
     SimulationReport,

@@ -17,8 +17,8 @@ binary searches per (job group, class) instead of a Hungarian solve.
 ``pick_jobs`` applies it to one interval of loose jobs over any rows of
 per-class RU counts: the best-effort overlay passes a batch's free RUs
 as one row, and ``lsds_config_search`` the channel's configuration
-table for a gap fill. Tests check both against the Hungarian oracle in
-the matching module.
+table for a gap fill. The tests check both against the Hungarian oracle
+in ``tests/oracles/matching.py``.
 
 A configuration table has up to 1827 rows (160 MHz), but what decides a
 row's greedy value is only its suffix capacities clipped at the demand of
@@ -301,6 +301,9 @@ class _Engine:
             raise ValueError(f"grid_us must be positive, got {grid_us}")
         if txop < grid_us:
             raise ValueError("txop shorter than one grid step")
+        if jobset.horizon < grid_us:
+            raise ValueError(f"horizon {jobset.horizon} us is shorter than one "
+                             f"grid step of {grid_us} us")
         self.horizon = jobset.horizon
         self.grid = grid_us
         self.t_units = self.horizon // grid_us

@@ -2,7 +2,8 @@
 
 ``config_table`` and ``class_durations`` are the cached configuration
 arrays and per-class durations that the schedulers share; the validator
-and the exhaustive oracle derive theirs from ``tx_duration`` on their own.
+derives its durations from ``tx_duration`` on its own, as do the exact
+oracles the tests check the schedulers against.
 
 Time is kept on an integer microsecond grid throughout. Transmission
 durations are whole OFDM symbols; symbol arithmetic uses exact integer
@@ -24,11 +25,8 @@ __all__ = [
     "Machine",
     "RuConfiguration",
     "CHANNEL_WIDTHS",
-    "max_ru_counts",
     "enumerate_configurations",
     "configuration_index",
-    "configuration_by_index",
-    "phy_rate",
     "tx_duration",
     "tx_duration_us",
     "class_durations",
@@ -130,31 +128,20 @@ def root_tones(channel_width: int) -> int:
 
 @dataclass(frozen=True)
 class PhyProfile:
-    """Modulation/guard-interval settings shared by all stations.
-
-    ``overhead_us`` is a fixed per-transmission overhead added to every
-    duration (trigger frame, SIFS); it defaults to 0.
-    """
+    """Modulation/guard-interval settings shared by all stations."""
 
     mcs: int = 11
     guard_interval_ns: int = 3200
-    overhead_us: int = 0
 
     def __post_init__(self):
         if not 0 <= self.mcs <= 11:
             raise ValueError(f"mcs out of range: {self.mcs}")
         if self.guard_interval_ns not in _GUARD_INTERVALS_NS:
             raise ValueError(f"invalid guard interval: {self.guard_interval_ns} ns")
-        if self.overhead_us < 0:
-            raise ValueError("overhead_us must be >= 0")
 
     @property
     def symbol_duration_ns(self) -> int:
         return _PAYLOAD_SYMBOL_NS + self.guard_interval_ns
-
-    @property
-    def symbol_duration_us(self) -> float:
-        return self.symbol_duration_ns / 1000.0
 
 
 @dataclass(frozen=True)
@@ -163,24 +150,12 @@ class Machine:
 
     id: int
     tone_class: RuToneClass
-    rate: float  # bits per microsecond
     phy: PhyProfile = field(default_factory=PhyProfile)
 
     @property
     def bandwidth(self) -> int:
         """Occupied bandwidth in tones (the knapsack unit)."""
         return int(self.tone_class)
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("machine rate must be positive")
-
-
-def phy_rate(tone_class: RuToneClass, phy: PhyProfile) -> float:
-    """Effective PHY rate of an RU class, in bits per microsecond."""
-    num, den = _MCS_BITS_PER_SUBCARRIER[phy.mcs]
-    bits_per_symbol = DATA_SUBCARRIERS[tone_class] * num / den
-    return bits_per_symbol / phy.symbol_duration_us
 
 
 def tx_symbols(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile) -> int:
@@ -198,7 +173,7 @@ def tx_duration_us(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile)
     """Transmission duration on an RU class, whole symbols, ceil'd to 1 us."""
     symbols = tx_symbols(payload_bytes, tone_class, phy)
     ns = symbols * phy.symbol_duration_ns
-    return -(-ns // 1000) + phy.overhead_us
+    return -(-ns // 1000)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,9 +209,6 @@ class RuConfiguration:
                     f"{n} x {int(cls)}-tone exceeds the {self.channel_width} MHz maximum"
                 )
 
-    def count(self, tone_class: RuToneClass) -> int:
-        return self.counts[TONE_CLASSES.index(tone_class)]
-
     @property
     def total_rus(self) -> int:
         return sum(self.counts)
@@ -259,12 +231,6 @@ class RuConfiguration:
     def __str__(self):
         parts = [f"{n}x{int(c)}" for c, n in zip(TONE_CLASSES, self.counts) if n]
         return "{" + ",".join(parts) + "}" if parts else "{}"
-
-
-def max_ru_counts(channel_width: int) -> dict[RuToneClass, int]:
-    """Maximum RU count per class for a channel width."""
-    _check_width(channel_width)
-    return dict(_MAX_RU_TABLE[channel_width])
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,10 +291,6 @@ def configuration_index(config: RuConfiguration) -> int:
         raise ValueError(f"{config} is not a legal {config.channel_width} MHz configuration")
 
 
-def configuration_by_index(channel_width: int, index: int) -> RuConfiguration:
-    return enumerate_configurations(channel_width)[index]
-
-
 def full_26_tone_configuration(channel_width: int) -> RuConfiguration:
     """The all-26-tone split (the widest-parallelism configuration)."""
     _check_width(channel_width)
@@ -340,7 +302,7 @@ def full_26_tone_configuration(channel_width: int) -> RuConfiguration:
 def machines_for_configuration(config: RuConfiguration, phy: PhyProfile) -> list[Machine]:
     """Machine instances for a configuration, widest RU first, ids 0..M-1."""
     return [
-        Machine(id=i, tone_class=cls, rate=phy_rate(cls, phy), phy=phy)
+        Machine(id=i, tone_class=cls, phy=phy)
         for i, cls in enumerate(config.ru_classes_desc())
     ]
 

@@ -126,30 +126,25 @@ def _make_job(profile, horizon, station, release, size, next_id) -> Job:
 def generate_periodic(
     profile: ApplicationProfile,
     horizon: int,
-    offset_policy: str = "zero",
     seed: int = 0,
     station_base: int = 0,
 ) -> list[Job]:
     """Periodic arrivals: one packet per station every ``period_us``.
 
-    Releases are strictly inside [0, horizon); deadlines are clipped to
-    the horizon. ``offset_policy`` is "zero" (synchronized stations, the
-    adversarial default) or "uniform" (per-station phase in [0, period)
-    drawn from the seed).
+    Stations are synchronized (every one releases at 0, the adversarial
+    case); the seed draws only the packet sizes. Releases are strictly
+    inside [0, horizon); deadlines are clipped to the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     period = profile.period_us
     if period < 1:
         raise ValueError(f"{profile.name}: period below the 1 us grid")
-    if offset_policy not in ("zero", "uniform"):
-        raise ValueError(f"unknown offset policy: {offset_policy}")
     jobs = []
     for s in range(profile.node_count):
         station = station_base + s
         rng = _station_rng(seed, profile.name, station)
-        offset = rng.randrange(period) if offset_policy == "uniform" else 0
-        t = offset
+        t = 0
         while t < horizon:
             jobs.append(_make_job(profile, horizon, station, t, _draw_size(profile, rng), len(jobs)))
             t += period
@@ -258,7 +253,7 @@ def load_use_case(use_case: str, horizon: int, seed: int) -> JobSet:
         if p.arrival_kind == "poisson":
             raw = generate_poisson(scoped, horizon, seed, station_base)
         else:
-            raw = generate_periodic(scoped, horizon, "zero", seed, station_base)
+            raw = generate_periodic(scoped, horizon, seed, station_base)
         critical = p.profit == max_profit
         for j in raw:
             jobs.append(Job(

@@ -1,10 +1,10 @@
 """Maximum-weight bipartite matching: the test oracle.
 
 No scheduler imports this module; the schedulers, the best-effort overlay
-and the slotted matcher use the exact greedy kernels of ``local_search``
-and ``slotted``, which the tests, ``tests/reference_impl.py`` and the
-acceptance suite check against the solvers here. It is the only module
-that needs scipy, which is a test dependency.
+and the slotted matcher use the exact greedy kernels of
+``ofdmasched.local_search`` and ``ofdmasched.slotted``, which the tests,
+``tests/reference_impl.py`` and the acceptance suite check against the
+solvers here. It is the only code that needs scipy, a test dependency.
 
 ``max_weight_matching`` is backed by scipy's shortest-augmenting-path
 assignment solver (Hungarian-style, O(n^3)); missing edges are encoded
@@ -24,18 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .phy import (
+from ofdmasched.phy import (
     Machine,
     PhyProfile,
     RuConfiguration,
+    RuToneClass,
     enumerate_configurations,
     machines_for_configuration,
-    max_ru_counts,
-    phy_rate,
     tx_duration,
 )
-from .scheduling import Interval
-from .workload import Job
+from ofdmasched.scheduling import Interval
+from ofdmasched.workload import Job
 
 __all__ = [
     "BipartiteInstance",
@@ -45,9 +44,20 @@ __all__ = [
     "max_profit",
     "relaxed_machine_set",
     "lsds_config_search",
+    "MAX_RU_COUNTS",
 ]
 
 BUDGETED_MACHINE_LIMIT = 20
+
+# Maximum RU count per tone class (26, 52, 106, 242, 484, 996), per channel
+# width, written out apart from ``ofdmasched.phy`` so that the tests can
+# check the enumerated configurations against a second table.
+MAX_RU_COUNTS = {
+    20: (9, 4, 2, 1, 0, 0),
+    40: (18, 8, 4, 2, 1, 0),
+    80: (37, 16, 8, 4, 2, 1),
+    160: (74, 32, 16, 8, 4, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -188,15 +198,13 @@ def max_profit(
 
 
 def relaxed_machine_set(channel_width: int, phy: PhyProfile) -> list[Machine]:
-    """The table-maximum count of every RU class, ignoring the bandwidth
-    budget; used to prune candidates before the per-configuration pass."""
-    machines = []
-    table = max_ru_counts(channel_width)
-    for cls in sorted(table, reverse=True):
-        for _ in range(table[cls]):
-            machines.append(Machine(id=len(machines), tone_class=cls,
-                                    rate=phy_rate(cls, phy), phy=phy))
-    return machines
+    """The table-maximum count of every RU class, widest first, ignoring
+    the bandwidth budget; used to prune candidates before the
+    per-configuration pass."""
+    classes = []
+    for cls, n in reversed(list(zip(RuToneClass, MAX_RU_COUNTS[channel_width]))):
+        classes.extend([cls] * n)
+    return [Machine(id=i, tone_class=cls, phy=phy) for i, cls in enumerate(classes)]
 
 
 def lsds_config_search(

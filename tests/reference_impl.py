@@ -1,13 +1,13 @@
 """Slow, straightforward local-search implementations used as test oracles.
 
 These walk the same double loop as the production schedulers but solve
-every interval with the matching module's Hungarian-based max_profit /
-configuration search, keeping no incremental state. Pass a list as
+every interval with the Hungarian-based max_profit / configuration search
+of ``oracles.matching``, keeping no incremental state. Pass a list as
 ``log`` to receive each commit's (weight, evicted weight), in the order of
 ``LocalSearchStats.commit_log``.
 """
 
-from ofdmasched.matching import lsds_config_search, max_profit
+from oracles.matching import lsds_config_search, max_profit
 from ofdmasched.scheduling import Interval, conflicts
 
 

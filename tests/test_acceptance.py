@@ -12,9 +12,7 @@ import time
 import pytest
 
 from ofdmasched.benchmarks import greedy_benchmark
-from ofdmasched.exhaustive import brute_force_optimal
 from ofdmasched.local_search import lsds_run, lsdsf_run
-from ofdmasched.matching import BipartiteInstance, budgeted_max_weight_matching, max_weight_matching
 from ofdmasched.phy import (
     Machine,
     PhyProfile,
@@ -22,7 +20,6 @@ from ofdmasched.phy import (
     RuToneClass,
     full_26_tone_configuration,
     machines_for_configuration,
-    phy_rate,
 )
 from ofdmasched.simulator import (
     ChannelScenario,
@@ -34,6 +31,8 @@ from ofdmasched.simulator import (
 from ofdmasched.slotted import SlottedApp, slotted_schedule
 from ofdmasched.workload import Job, JobSet, load_use_case
 
+from oracles.exhaustive import brute_force_optimal
+from oracles.matching import BipartiteInstance, budgeted_max_weight_matching, max_weight_matching
 from test_matching import brute_force_matching_weight, brute_force_budgeted_weight
 
 PHY = PhyProfile()
@@ -164,8 +163,7 @@ def test_c3_twelve_approximation_500_instances():
             jobs.append(Job(id=i, station=i, release=release, deadline_abs=deadline,
                             profit=float(rng.randint(1, 100)), size=rng.randint(1, 140)))
         jobset = JobSet(jobs=tuple(jobs), horizon=192, seed=0)
-        machines = [Machine(i, rng.choice(classes),
-                            phy_rate(classes[0], PHY), PHY)
+        machines = [Machine(i, rng.choice(classes), PHY)
                     for i in range(rng.randint(1, 3))]
         txop = 16 * rng.randint(1, 4)
         schedule, _ = lsdsf_run(jobset, machines, txop=txop, grid_us=16)

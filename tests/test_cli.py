@@ -124,6 +124,14 @@ def test_cli_exit_codes(tmp_path):
                  "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
+def test_cli_rejects_horizon_under_one_grid_step(tmp_path, capsys, scheduler):
+    # the default grid at MCS 11 is 112 us; a failed stage exits 1
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler,
+                 "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 1
+    assert "horizon 100 us is shorter than one grid step of 112 us" in capsys.readouterr().err
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"use_case": "UC4", "scheduler": "edf",

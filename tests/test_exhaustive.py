@@ -1,15 +1,16 @@
 import pytest
 
-from ofdmasched.exhaustive import brute_force_optimal
 from ofdmasched.local_search import default_grid_us
-from ofdmasched.phy import Machine, PhyProfile, RuToneClass, phy_rate, tx_duration_us
+from ofdmasched.phy import Machine, PhyProfile, RuToneClass
 from ofdmasched.workload import Job, JobSet
+
+from oracles.exhaustive import brute_force_optimal
 
 PHY = PhyProfile()
 
 
 def machine(tone_class, machine_id=0):
-    return Machine(machine_id, tone_class, phy_rate(tone_class, PHY), PHY)
+    return Machine(machine_id, tone_class, PHY)
 
 
 def test_empty_jobs_optimum_zero():
@@ -67,11 +68,3 @@ def test_default_grid_is_symbol_aligned_and_at_least_100us():
         grid = default_grid_us(phy)
         assert grid >= 100
         assert (grid * 1000) % phy.symbol_duration_ns == 0
-
-
-def test_tx_duration_includes_fixed_overhead():
-    base = PhyProfile()
-    padded = PhyProfile(overhead_us=12)
-    for size in (25, 100, 1500):
-        assert (tx_duration_us(size, RuToneClass.RU52, padded)
-                == tx_duration_us(size, RuToneClass.RU52, base) + 12)

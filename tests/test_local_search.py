@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ofdmasched import local_search
-from ofdmasched.exhaustive import brute_force_optimal
 from ofdmasched.local_search import (
     DEFAULT_TXOP_US,
     _config_search,
@@ -19,7 +18,6 @@ from ofdmasched.local_search import (
     lsdsf,
     lsdsf_run,
 )
-from ofdmasched.matching import lsds_config_search as oracle_config_search
 from ofdmasched.phy import (
     Machine,
     PhyProfile,
@@ -27,19 +25,20 @@ from ofdmasched.phy import (
     config_table,
     enumerate_configurations,
     machines_for_configuration,
-    phy_rate,
     tx_duration,
 )
 from ofdmasched.scheduling import Interval
 from ofdmasched.workload import Job, JobSet, load_use_case
 
+from oracles.exhaustive import brute_force_optimal
+from oracles.matching import lsds_config_search as oracle_config_search
 from reference_impl import reference_lsds, reference_lsdsf
 
 PHY0 = PhyProfile()  # MCS 11: a 26-tone symbol carries 25 B, so sizes map cleanly to 16 us steps
 
 
 def machine(tone_class, machine_id, phy=PHY0):
-    return Machine(machine_id, tone_class, phy_rate(tone_class, phy), phy)
+    return Machine(machine_id, tone_class, phy)
 
 
 def micro_instance(rng, max_jobs=6, horizon=192):
@@ -257,6 +256,19 @@ def test_non_positive_grid_rejected(grid_us):
         lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=64, grid_us=grid_us)
 
 
+@pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
+def test_horizon_shorter_than_one_grid_step_rejected(scheduler):
+    # no interval fits: the engine would try nothing and return an empty
+    # schedule that validates clean
+    jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=100,
+                            profit=9.0, size=18),), horizon=100, seed=0)
+    with pytest.raises(ValueError, match="horizon 100 us is shorter than one grid step of 112 us"):
+        if scheduler == "lsds":
+            lsds_run(jobs, 20, PHY0, txop=4_000, grid_us=112)
+        else:
+            lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=4_000, grid_us=112)
+
+
 @pytest.mark.parametrize("width", [20, 40, 80])
 @pytest.mark.parametrize("mcs", [0, 7, 11])
 def test_lsds_config_search_matches_hungarian_oracle(width, mcs):
@@ -431,3 +443,14 @@ def test_lsds_follows_reference_trajectory(jobset, txop_units):
     assert_same_trajectory(schedule, stats, committed, scheduled, log)
     assert {(b.interval.start, b.interval.end): b.config.counts for b in schedule.batches} \
         == {(c[0].start, c[0].end): c[3].counts for c in committed}
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(micro_instances(max_jobs=5), st.integers(1, 3))
+def test_lsds_within_twelve_of_optimum(jobset, txop_units):
+    # the bound with the configuration chosen per batch, against the
+    # optimum over every 20 MHz configuration
+    txop = 16 * txop_units
+    schedule, _ = lsds_run(jobset, 20, PHY0, txop=txop, grid_us=16)
+    opt = brute_force_optimal(jobset, channel_width=20, phy=PHY0, txop=txop, grid_us=16)
+    assert 12 * schedule.total_profit >= opt - 1e-9

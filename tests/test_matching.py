@@ -3,7 +3,18 @@ import random
 
 import pytest
 
-from ofdmasched.matching import (
+from ofdmasched.phy import (
+    Machine,
+    PhyProfile,
+    RuToneClass,
+    enumerate_configurations,
+    machines_for_configuration,
+    tx_duration,
+)
+from ofdmasched.scheduling import Interval
+from ofdmasched.workload import Job
+
+from oracles.matching import (
     BipartiteInstance,
     Matching,
     budgeted_max_weight_matching,
@@ -12,17 +23,6 @@ from ofdmasched.matching import (
     max_weight_matching,
     relaxed_machine_set,
 )
-from ofdmasched.phy import (
-    Machine,
-    PhyProfile,
-    RuToneClass,
-    enumerate_configurations,
-    machines_for_configuration,
-    phy_rate,
-    tx_duration,
-)
-from ofdmasched.scheduling import Interval
-from ofdmasched.workload import Job
 
 
 def brute_force_matching_weight(left, right, edges):
@@ -160,7 +160,7 @@ def make_job(job_id, release, deadline, profit, size, station=0):
 
 
 def machine_of(tone_class, machine_id=0, phy=PhyProfile()):
-    return Machine(machine_id, tone_class, phy_rate(tone_class, phy), phy)
+    return Machine(machine_id, tone_class, phy)
 
 
 def test_max_profit_interval_too_short_is_empty():

@@ -10,12 +10,13 @@ from ofdmasched.phy import (
     enumerate_configurations,
     full_26_tone_configuration,
     machines_for_configuration,
-    max_ru_counts,
-    phy_rate,
     root_tones,
     tx_duration,
     tx_duration_us,
 )
+
+from oracles.matching import MAX_RU_COUNTS
+from oracles.rates import phy_rate
 
 TONES = [26, 52, 106, 242, 484, 996]
 
@@ -58,15 +59,20 @@ def test_exactly_six_tone_classes_totally_ordered():
 
 
 def test_max_ru_counts_table_rows():
-    assert max_ru_counts(20)[RuToneClass.RU26] == 9
-    assert max_ru_counts(160)[RuToneClass.RU26] == 74
-    assert max_ru_counts(80)[RuToneClass.RU996] == 1
-    assert max_ru_counts(40) == {
-        RuToneClass.RU26: 18, RuToneClass.RU52: 8, RuToneClass.RU106: 4,
-        RuToneClass.RU242: 2, RuToneClass.RU484: 1, RuToneClass.RU996: 0,
-    }
+    # RuConfiguration takes each maximum of the oracle's table and refuses
+    # one more; the enumeration reaches every maximum
+    for width, maxima in MAX_RU_COUNTS.items():
+        configs = enumerate_configurations(width)
+        for k, n in enumerate(maxima):
+            counts = [0] * len(TONES)
+            counts[k] = n
+            RuConfiguration(tuple(counts), width)
+            counts[k] = n + 1
+            with pytest.raises(ValueError):
+                RuConfiguration(tuple(counts), width)
+            assert max(c.counts[k] for c in configs) == n
     with pytest.raises(ValueError):
-        max_ru_counts(60)
+        RuConfiguration((0,) * len(TONES), 60)
 
 
 def test_enumerate_20mhz_matches_brute_force():
@@ -93,12 +99,11 @@ def test_enumerate_matches_brute_force_all_widths():
 
 def test_configurations_respect_table_and_budget():
     for width in CHANNEL_WIDTHS:
-        table = max_ru_counts(width)
+        table = MAX_RU_COUNTS[width]
         budget = root_tones(width)
         for config in enumerate_configurations(width):
             assert config.total_tones <= budget
-            for cls, n in zip(RuToneClass, config.counts):
-                assert n <= table[cls]
+            assert all(n <= most for n, most in zip(config.counts, table))
 
 
 def test_split_closure_at_20mhz():
@@ -126,7 +131,7 @@ def test_configuration_index_round_trip():
 def test_phy_rate_anchors():
     default = PhyProfile()
     assert default.mcs == 11 and default.guard_interval_ns == 3200
-    assert default.symbol_duration_us == 16.0
+    assert default.symbol_duration_ns == 16_000
     # peak single-RU rate at MCS 11: about 510 Mbps
     assert phy_rate(RuToneClass.RU996, default) == pytest.approx(510.4166, abs=1e-3)
     # 26-tone BPSK 1/2: 24 * 0.5 / 16us
@@ -153,14 +158,14 @@ def test_tx_duration_examples():
     assert tx_duration_us(100, RuToneClass.RU26, phy) == 64
     # exactly one symbol's worth of bits
     assert tx_duration_us(25, RuToneClass.RU26, phy) == 16
-    machine = Machine(0, RuToneClass.RU26, phy_rate(RuToneClass.RU26, phy), phy)
+    machine = Machine(0, RuToneClass.RU26, phy)
     assert tx_duration(100, machine) == 64
     with pytest.raises(ValueError):
         tx_duration_us(0, RuToneClass.RU26, phy)
 
 
 def test_tx_duration_monotone_and_no_undershoot():
-    for mcs in (0, 4, 11):
+    for mcs in range(12):
         phy = PhyProfile(mcs=mcs)
         for size in (1, 13, 100, 1500, 30000):
             durations = [tx_duration_us(size, c, phy) for c in RuToneClass]

@@ -1,7 +1,12 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import ofdmasched
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,3 +38,11 @@ def test_schedulers_run_without_scipy():
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracles_are_not_in_the_package():
+    # the Hungarian and brute-force oracles live in tests/oracles
+    for module in ("ofdmasched.matching", "ofdmasched.exhaustive"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert not hasattr(ofdmasched, "brute_force_optimal")

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from ofdmasched import simulator
 from ofdmasched.local_search import lsds
-from ofdmasched.matching import lsds_config_search as oracle_config_search
 from ofdmasched.phy import (
+    Machine,
     PhyProfile,
     RuConfiguration,
     RuToneClass,
+    enumerate_configurations,
     full_26_tone_configuration,
     machines_for_configuration,
     root_tones,
@@ -26,6 +29,8 @@ from ofdmasched.simulator import (
     validate_schedule,
 )
 from ofdmasched.workload import Job, JobSet, load_use_case
+
+from oracles.matching import lsds_config_search as oracle_config_search
 
 PHY = PhyProfile()
 
@@ -82,6 +87,76 @@ def test_txop_conflict_and_job_reuse_detected():
     violations = validate_schedule([a, b], js, 20, PHY, 4_000)
     assert any("conflict" in v for v in violations)
     assert any("job reuse" in v for v in violations)
+
+
+@pytest.fixture(scope="module")
+def uc4_batches():
+    js = load_use_case("UC4", 20_000, seed=1)
+    schedule = lsds(js, 40, PHY)
+    assert validate_schedule(schedule, js, 40, PHY, 4_000) == []
+    return js, list(schedule.batches)
+
+
+def _narrower_ru(js, batches):
+    """Put one job on a 26-tone RU that finishes it too late."""
+    by_id = {j.id: j for j in js.jobs}
+    slow = Machine(0, RuToneClass.RU26, PHY)
+    for i, b in enumerate(batches):
+        for job_id, m in b.assignments:
+            job = by_id[job_id]
+            if b.interval.start + tx_duration(job.size, slow) > min(b.interval.end,
+                                                                     job.deadline_abs):
+                machines = list(b.machines)
+                machines[m] = replace(machines[m], tone_class=RuToneClass.RU26)
+                return i, replace(b, machines=tuple(machines)), \
+                    f"admissibility: batch {i} job {job_id} finish"
+    raise AssertionError("no job misses its window on a 26-tone RU")
+
+
+def _over_budget(js, batches):
+    """Every RU of a configuration-less batch widened to 996 tones."""
+    b = batches[0]
+    machines = tuple(replace(m, tone_class=RuToneClass.RU996) for m in b.machines)
+    return 0, replace(b, machines=machines, config=None), "bandwidth: batch 0 uses"
+
+
+def _machines_disagree(js, batches):
+    b = batches[0]
+    classes = sorted(m.tone_class for m in b.machines)
+    other = next(c for c in enumerate_configurations(40)
+                 if sorted(c.ru_classes_desc()) != classes)
+    return 0, replace(b, config=other), "configuration: batch 0 machines disagree"
+
+
+def _other_width(js, batches):
+    return 0, replace(batches[0], config=enumerate_configurations(20)[0]), \
+        "configuration: batch 0 uses illegal config"
+
+
+def _machine_out_of_range(js, batches):
+    b = batches[0]
+    (job_id, _), *rest = b.assignments
+    m = len(b.machines)
+    return 0, replace(b, assignments=((job_id, m), *rest)), \
+        f"machine index: batch 0 machine {m} out of range"
+
+
+def _unknown_job(js, batches):
+    b = batches[0]
+    unknown = max(j.id for j in js.jobs) + 1
+    m = b.assignments[0][1]  # a machine in range, so the id check is reached
+    return 0, replace(b, assignments=(*b.assignments, (unknown, m))), \
+        f"unknown job: batch 0 job {unknown}"
+
+
+@pytest.mark.parametrize("mutate", [_narrower_ru, _over_budget, _machines_disagree,
+                                    _other_width, _machine_out_of_range, _unknown_job])
+def test_validator_names_each_mutation(uc4_batches, mutate):
+    js, batches = uc4_batches
+    i, mutated, expected = mutate(js, batches)
+    violations = validate_schedule(batches[:i] + [mutated] + batches[i + 1:],
+                                   js, 40, PHY, 4_000)
+    assert any(v.startswith(expected) for v in violations), violations
 
 
 def test_channel_scenario_map_validation():

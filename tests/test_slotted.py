@@ -3,8 +3,6 @@ import random
 
 import pytest
 
-from ofdmasched.exhaustive import brute_force_optimal
-from ofdmasched.matching import BipartiteInstance, max_weight_matching
 from ofdmasched.phy import (
     PhyProfile,
     RuConfiguration,
@@ -20,6 +18,9 @@ from ofdmasched.slotted import (
     slotted_schedule,
 )
 from ofdmasched.workload import ApplicationProfile
+
+from oracles.exhaustive import brute_force_optimal
+from oracles.matching import BipartiteInstance, max_weight_matching
 
 PHY = PhyProfile()
 TWO_242 = RuConfiguration((0, 0, 0, 2, 0, 0), 40)

@@ -159,18 +159,3 @@ def test_duplicate_job_ids_rejected():
             Job(id=7, station=2, release=5, deadline_abs=100, profit=1.0, size=10))
     with pytest.raises(ValueError, match="duplicate job id 7"):
         JobSet(jobs=jobs, horizon=100, seed=0)
-
-
-def test_uniform_offset_policy_is_seeded_and_in_range():
-    profile = ApplicationProfile("p", 1000, 64, 64, 2_000, 5, 4)
-    a = generate_periodic(profile, 20_000, offset_policy="uniform", seed=3)
-    b = generate_periodic(profile, 20_000, offset_policy="uniform", seed=3)
-    c = generate_periodic(profile, 20_000, offset_policy="uniform", seed=4)
-    assert a == b
-    assert a != c
-    first_release = {}
-    for j in a:
-        first_release.setdefault(j.station, j.release)
-    assert all(0 <= r < profile.period_us for r in first_release.values())
-    with pytest.raises(ValueError):
-        generate_periodic(profile, 20_000, offset_policy="staggered")
