@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .local_search import DEFAULT_TXOP_US
+from .local_search import DEFAULT_TXOP_US, default_grid_us
 from .phy import CHANNEL_WIDTHS
 from .scheduling import Schedule, dump_schedule
 from .simulator import (
@@ -33,6 +33,8 @@ from .workload import USE_CASES, JobSet, dump_jobs, load_use_case
 __all__ = ["SCHEDULERS", "CSV_HEADER", "ExperimentConfig", "MetricsRow", "run", "compare"]
 
 SCHEDULERS = tuple(scheduler_registry())
+# the schedulers that try intervals on a time grid
+_GRID_SCHEDULERS = ("lsds", "lsdsf")
 CSV_HEADER = ("use_case,scheduler,bandwidth_mhz,channel,seed,"
               "profit_ratio,drop_pct,critical_drop_pct,runtime_ms")
 
@@ -64,6 +66,11 @@ class ExperimentConfig:
             raise ValueError("horizon, txop and reps must be positive")
         if self.grid_us is not None and self.grid_us <= 0:
             raise ValueError(f"grid_us must be positive, got {self.grid_us}")
+        if self.scheduler in _GRID_SCHEDULERS:
+            grid = self.grid_us or default_grid_us(ChannelScenario(self.channel).phy())
+            if self.horizon_us < grid:
+                raise ValueError(f"horizon {self.horizon_us} us is shorter than one "
+                                 f"grid step of {grid} us")
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
                 "A bandwidth of 40 MHz cannot handle this much load: UC3 is sized "

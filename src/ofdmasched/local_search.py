@@ -34,12 +34,25 @@ sorted by end too; the engine keeps their starts, ends and weights in
 aligned lists, and the batches conflicting with an interval are one
 contiguous range found by two bisections.
 
-Between commits the candidate pool is fixed, so whole start ranges are
-screened with a vectorized upper bound; only intervals whose bound beats
-the commit threshold are evaluated exactly. Commits keep already-computed
-bounds valid (the pool only shrinks and conflict weights only grow), so
-the sweep restarts only after an eviction returns jobs to the pool. The
-result is identical to the plain sequential scan.
+Two vectorized bounds screen the intervals of one length before any is
+evaluated exactly. ``_sweep`` bounds every start from one position on by
+the best profits that fit the relaxed machine set, class-blind, and keeps
+the starts whose bound beats twice their conflict weight. ``_relaxed``
+then takes those survivors in chunks of 64 starts, doubling from chunk to
+chunk, and computes for a whole chunk at once the exact value ``_greedy``
+would give the interval's items under ``suffix_caps``: under nested
+capacities the best job count is a closed-form rank, so the value is
+that rank's increments per profit level, weighted by profit. Only starts
+whose value still beats twice their conflict weight reach ``_items_for``.
+A chunk is computed against the pool and batches as they stand when the
+scalar loop reaches it, so later chunks see the earlier commits.
+
+Commits keep every computed bound valid (the pool only shrinks and
+conflict weights only grow), so only an eviction, which returns jobs to
+the pool, restarts the sweep; the rest of its survivors, and the chunks
+never computed, are dropped. Each stage skips only intervals the exact
+commit test would reject, so the result is identical to the plain
+sequential scan.
 """
 
 from __future__ import annotations
@@ -74,6 +87,9 @@ __all__ = [
 ]
 
 DEFAULT_TXOP_US = 4_000
+# survivors in the first chunk of a sweep that ``_relaxed`` tightens; the
+# chunks double from there
+_CHUNK = 64
 # deadline offset of jobs whose deadline sits on the horizon: no interval
 # ends past the horizon, so their deadline never binds
 _UNBOUND = 1 << 62
@@ -93,6 +109,9 @@ class LocalSearchStats:
     candidate_intervals: int = 0
     config_searches: int = 0            # intervals that reached the configuration search
     config_searches_computed: int = 0   # of those, searches not answered by the run's memo
+    sweep_survivors: int = 0            # starts that passed ``_sweep``'s bound
+    bound_rejects: int = 0              # of those, starts ``_relaxed`` dropped
+    exact_evaluations: int = 0          # ``_items_for`` calls
     commits: int = 0
     evictions: int = 0
     commit_log: list[tuple[float, float]] = field(default_factory=list)
@@ -318,6 +337,7 @@ class _Engine:
         self.cfg_suffix = _suffix(self.cfg_counts)
         self.suffix_caps = _suffix(self.cfg_counts.max(axis=0))  # the relaxed machine set
         self.sigma_total = int(self.suffix_caps[0])
+        self.caps_ext = np.append(self.suffix_caps, 0)  # S_0 .. S_K, with S_K = 0
         self.K = int(active.sum())
 
         self._build_groups(jobset, [TONE_CLASSES.index(c) for c in classes],
@@ -328,6 +348,11 @@ class _Engine:
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.weights: list[float] = []
+        # the aligned lists as arrays with cumulative weights, built on demand
+        # and kept until the next commit
+        self._conflict_arrays = None
+        self._shift_length = None
+        self._shift_rows = None
         # _config_search results by (profit, c_min, count) of the takes; the
         # rows are fixed for the engine's life, so entries never go stale
         self.searched: dict[tuple, tuple[int, float]] = {}
@@ -354,6 +379,12 @@ class _Engine:
             grp.releases = np.array([r for r, _ in rel_ids], dtype=np.int64)
             grp.ids = np.array([i for _, i in rel_ids], dtype=np.int64)
             self.groups.append(grp)
+        # groups of one profit are adjacent: (profit, first, end) per profit
+        self.levels = []
+        for profit, run in itertools.groupby(range(len(self.groups)),
+                                             key=lambda gi: self.groups[gi].profit):
+            run = list(run)
+            self.levels.append((profit, run[0], run[-1] + 1))
 
     # ---- committed-batch bookkeeping ---------------------------------------
 
@@ -364,14 +395,37 @@ class _Engine:
     def _conflict_weight_vector(self, t1v, t2v):
         if not self.batches:
             return np.zeros(len(t1v))
-        starts = np.array(self.starts, dtype=np.int64)
-        ends = np.array(self.ends, dtype=np.int64)
-        cumw = np.concatenate(([0.0], np.cumsum(self.weights)))
+        if self._conflict_arrays is None:
+            self._conflict_arrays = (np.array(self.starts, dtype=np.int64),
+                                     np.array(self.ends, dtype=np.int64),
+                                     np.concatenate(([0.0], np.cumsum(self.weights))))
+        starts, ends, cumw = self._conflict_arrays
         hi = starts.searchsorted(t2v, side="right")
         lo = ends.searchsorted(t1v, side="left")
         return cumw[hi] - cumw[lo]
 
     # ---- per-interval evaluation -------------------------------------------
+
+    def _shifts(self, length):
+        """Per group, what to add to a start ``t1`` to search the group's
+        pool for an interval of ``length``: ``1`` (released by ``t1``), then
+        per class ``d - off`` (meets the deadline on that class). A class
+        that the interval or the deadline cannot fit gets ``1`` as well, so
+        it admits no one, and the searches fall as the classes widen.
+
+        Also per group, the first class that can fit and its shift (``K``
+        and 0 if none). Kept for the last length asked.
+        """
+        if self._shift_length != length:
+            rows, first = [], []
+            for g in self.groups:
+                row = [d - g.off if d <= length and d - g.off <= 1 else 1 for d in g.durations]
+                c0 = next((c for c, d in enumerate(g.durations)
+                           if d <= length and d - g.off <= 1), self.K)
+                rows.append(np.array([1] + row, dtype=np.int64))
+                first.append((c0, row[c0] if c0 < self.K else 0))
+            self._shift_length, self._shift_rows = length, (rows, first)
+        return self._shift_rows
 
     def _items_for(self, t1, t2):
         """Admissible job counts per (group, minimum class), with positions.
@@ -380,26 +434,23 @@ class _Engine:
         profit order; members of a slice sit at positions [lo, lo+count) of
         the group's release-sorted pool and are interchangeable.
         """
-        length = t2 - t1
+        rows, first = self._shifts(t2 - t1)
         items = []
         for gi, g in enumerate(self.groups):
-            if g.durations[-1] > length:
-                continue
+            c0, s0 = first[gi]
             R = g.releases
-            hi = int(R.searchsorted(t1, side="right"))
-            if hi == 0:
+            if c0 == self.K or not len(R) or R[0] > t1:
+                continue  # no class fits, or no member is released by t1
+            if R[0] >= t1 + s0:
+                # every member released by t1 fits class c0, and so every wider one
+                items.append((g.profit, c0, int(R.searchsorted(t1, side="right")), (gi, 0)))
                 continue
-            prev_lo = None
-            for c in range(self.K):
-                d = g.durations[c]
-                if d > length:
-                    continue
-                lo = int(R.searchsorted(t1 + d - g.off, side="left"))
-                lo = min(lo, hi)
-                top = hi if prev_lo is None else min(prev_lo, hi)
+            # released by t1, then the first admissible position per class
+            top, *los = R.searchsorted(t1 + rows[gi]).tolist()
+            for c, lo in enumerate(los):
                 if lo < top:
                     items.append((g.profit, c, top - lo, (gi, lo)))
-                prev_lo = lo
+                    top = lo
                 if lo == 0:
                     break
         return items
@@ -465,6 +516,7 @@ class _Engine:
         self.starts[lo_b:hi_b] = [t1]
         self.ends[lo_b:hi_b] = [t2]
         self.weights[lo_b:hi_b] = [weight]
+        self._conflict_arrays = None
         self.stats.commits += 1
         self.stats.evictions += len(evicted)
         self.stats.commit_log.append((weight, evicted_weight))
@@ -497,19 +549,69 @@ class _Engine:
         mask = bound > 2.0 * self._conflict_weight_vector(t1v, t2v)
         return from_idx + np.nonzero(mask)[0]
 
+    def _tighten(self, chunk, length):
+        """``_greedy``'s value under ``suffix_caps`` of each start (grid
+        index) of ``chunk``, against the pool and batches now, and whether
+        it can beat twice the start's conflict weight.
+
+        Under nested capacities at most ``S_k`` chosen jobs can need class k
+        or wider, so the most jobs of a set that fit is
+        ``min_k (A_{k-1} + S_k)``, where ``A_k`` counts the jobs that fit
+        class k (``A_{-1} = 0``, ``S_K = 0``). Greedy by profit takes, per
+        profit level, that rank's increase, so the value is that increase
+        times the profit, summed over the levels. ``A_k`` of a group is two
+        searches of its pool: released by ``t1`` minus released before
+        ``t1 + d_k - off``; one 2-D search per group gives every class.
+        """
+        shifts, first = self._shifts(length)
+        t1v = chunk * self.grid
+        acc = np.zeros((len(chunk), self.K + 1), dtype=np.int64)
+        value = np.zeros(len(chunk))
+        prev = 0
+        for profit, lo, hi in self.levels:
+            for gi in range(lo, hi):
+                R = self.groups[gi].releases
+                if first[gi][0] < self.K and len(R):
+                    acc += R.searchsorted(t1v[:, None] + shifts[gi])
+            # column k of acc[:, :1] - acc is A_{k-1}, and 0 for k = 0
+            rank = (acc[:, :1] - acc + self.caps_ext).min(axis=1)
+            value += profit * (rank - prev)
+            prev = rank
+        cw = self._conflict_weight_vector(t1v, t1v + length)
+        # a value of 0 is exact and never passes; otherwise the sums round
+        # unlike _greedy's and _conflict_range's (a difference of cumulative
+        # weights errs with their total), so keep a margin for that
+        total_w = self._conflict_arrays[2][-1] if self.batches else 0.0
+        return value, (value > 0) & (value * (1 + 1e-12) + 2e-12 * total_w > 2.0 * cw)
+
+    def _relaxed(self, starts, length):
+        """The starts of ``starts`` that ``_tighten`` keeps, tightened a chunk
+        at a time when the caller reaches it; the chunks double in size."""
+        lo, size = 0, _CHUNK
+        while lo < len(starts):
+            chunk = starts[lo: lo + size]
+            lo, size = lo + size, 2 * size
+            kept = chunk[self._tighten(chunk, length)[1]]
+            self.stats.bound_rejects += len(chunk) - len(kept)
+            yield from kept.tolist()
+
     def run(self):
         g = self.grid
         for l_units in range(1, self.delta_units + 1):
             self.stats.candidate_intervals += self.t_units - l_units + 1
+            length = l_units * g
             pos = 0
             while True:
                 restarted = False
-                for idx in self._sweep(l_units, pos):
-                    t1 = int(idx) * g
-                    t2 = t1 + l_units * g
+                survivors = self._sweep(l_units, pos)
+                self.stats.sweep_survivors += len(survivors)
+                for idx in self._relaxed(survivors, length):
+                    t1 = idx * g
+                    t2 = t1 + length
                     lo_b, hi_b = self._conflict_range(t1, t2)
                     conflict_w = sum(self.weights[lo_b:hi_b])
 
+                    self.stats.exact_evaluations += 1
                     items = self._items_for(t1, t2)
                     if not items:
                         continue
@@ -527,7 +629,7 @@ class _Engine:
                         continue
                     _, takes = _greedy(takes1, self.cfg_suffix[winner])
                     if self._commit(t1, t2, value, takes, winner):
-                        pos = int(idx) + 1
+                        pos = idx + 1
                         restarted = True
                         break
                 if not restarted:

@@ -126,10 +126,23 @@ def test_cli_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
 def test_cli_rejects_horizon_under_one_grid_step(tmp_path, capsys, scheduler):
-    # the default grid at MCS 11 is 112 us; a failed stage exits 1
+    # the default grid at MCS 11 is 112 us; a configuration error exits 2
+    # before any stage runs, so nothing is written
     assert main(["run", "--use-case", "UC4", "--scheduler", scheduler,
-                 "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 1
+                 "--horizon-us", "100", "--out-dir", str(tmp_path / "out")]) == 2
     assert "horizon 100 us is shorter than one grid step of 112 us" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # an explicit grid is the one checked
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler, "--horizon-us", "150",
+                 "--grid-us", "200"]) == 2
+    assert "horizon 150 us is shorter than one grid step of 200 us" in capsys.readouterr().err
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler, "--horizon-us", "100",
+                 "--grid-us", "50", "--out-dir", str(tmp_path / "fine")]) == 0
+
+
+def test_cli_horizon_under_one_grid_step_runs_the_round_schedulers(tmp_path):
+    assert main(["run", "--use-case", "UC4", "--scheduler", "edf",
+                 "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

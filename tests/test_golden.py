@@ -55,6 +55,10 @@ SCHEDULES = {
     ("UC4", "nlrf"): "08638d287fda57d9",
 }
 
+# long enough for the engine to evict (17 times) and to tighten sweeps of
+# more than one chunk of survivors: (use case, width, horizon, txop, grid)
+LONG_LSDS = {("UC3", 160, 10_000, 500, 16): "0d1e1cc4c039f59e"}
+
 # use case -> (horizon, best-effort load in Mbps, packet size, golden hash)
 OVERLAYS = {
     "UC4": (100_000, 20.0, 1500, "43f38f7b7e0e57f4"),
@@ -82,6 +86,15 @@ def test_registry_schedule_bytes(use_case, scheduler):
     _, schedule = run_scenario(jobs, scheduler, ChannelScenario("ideal"), width,
                                txop=txop, grid_us=grid)
     assert digest(schedule) == SCHEDULES[use_case, scheduler]
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LSDS))
+def test_long_lsds_schedule_bytes(case):
+    use_case, width, horizon, txop, grid = case
+    jobs = load_use_case(use_case, horizon, seed=1)
+    _, schedule = run_scenario(jobs, "lsds", ChannelScenario("ideal"), width,
+                               txop=txop, grid_us=grid)
+    assert digest(schedule) == LONG_LSDS[case]
 
 
 @pytest.mark.parametrize("use_case", sorted(OVERLAYS))

@@ -269,6 +269,13 @@ def test_horizon_shorter_than_one_grid_step_rejected(scheduler):
             lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=4_000, grid_us=112)
 
 
+def test_lsds_rejects_unsupported_width():
+    jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=200,
+                            profit=9.0, size=18),), horizon=192, seed=0)
+    with pytest.raises(ValueError, match="unsupported channel width: 30 MHz"):
+        lsds_run(jobs, 30, PHY0, txop=64, grid_us=16)
+
+
 @pytest.mark.parametrize("width", [20, 40, 80])
 @pytest.mark.parametrize("mcs", [0, 7, 11])
 def test_lsds_config_search_matches_hungarian_oracle(width, mcs):
@@ -454,3 +461,96 @@ def test_lsds_within_twelve_of_optimum(jobset, txop_units):
     schedule, _ = lsds_run(jobset, 20, PHY0, txop=txop, grid_us=16)
     opt = brute_force_optimal(jobset, channel_width=20, phy=PHY0, txop=txop, grid_us=16)
     assert 12 * schedule.total_profit >= opt - 1e-9
+
+
+# ---- the chunked relaxed-greedy bound ---------------------------------------
+
+
+def checking_tighten(chunks):
+    """``_Engine._tighten`` that checks each chunk against the scalar path
+    at the moment it is computed, and records the chunk sizes."""
+    tighten = local_search._Engine._tighten
+
+    def checked(self, chunk, length):
+        values, keep = tighten(self, chunk, length)
+        for idx, value, kept in zip(chunk.tolist(), values.tolist(), keep.tolist()):
+            t1 = idx * self.grid
+            exact = _greedy(self._items_for(t1, t1 + length), self.suffix_caps)[0]
+            assert value == pytest.approx(exact, rel=1e-9, abs=0)
+            if not kept:
+                lo, hi = self._conflict_range(t1, t1 + length)
+                assert exact <= 2.0 * sum(self.weights[lo:hi])
+        chunks.append(len(chunk))
+        return values, keep
+
+    return checked
+
+
+@st.composite
+def crowded_instances(draw):
+    """Up to 40 jobs over up to 150 grid steps of 16 us, released off the
+    grid within a drawn spread, so that some intervals admit more jobs than
+    fit and some jobs are released inside an interval. Profits
+    come from a few values that do not add exactly in binary, so groups
+    share profit levels and the vector sums round unlike the scalar ones;
+    sweeps reach a second chunk and evictions happen."""
+    steps = draw(st.integers(1, 150))
+    spread = draw(st.integers(0, steps - 1))
+    jobs = []
+    for i in range(draw(st.integers(1, 40))):
+        release = draw(st.integers(0, 16 * spread))
+        jobs.append(Job(id=i, station=i, release=release,
+                        deadline_abs=release + draw(st.integers(1, 200)),
+                        profit=draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.7, 7.0])),
+                        size=draw(st.integers(1, 400))))
+    return JobSet(jobs=tuple(jobs), horizon=16 * steps, seed=0)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(crowded_instances(), st.integers(1, 6), st.sampled_from(["lsds20", "lsds40", "lsdsf"]))
+# jobs 2 and 3, released inside [0, 32], meet their deadlines on the
+# 106-tone RU but not on a 26-tone one: for [0, 32] they must count for no
+# class, not against the 26-tone one
+@example(JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=64, profit=1.0, size=1),
+                      Job(id=1, station=1, release=0, deadline_abs=64, profit=1.0, size=1),
+                      Job(id=2, station=2, release=5, deadline_abs=22, profit=1.0, size=30),
+                      Job(id=3, station=3, release=6, deadline_abs=23, profit=1.0, size=30)),
+                horizon=64, seed=0), 2, "lsdsf")
+def test_tightened_values_are_the_scalar_greedy_values(jobset, txop_units, scheduler):
+    chunks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_search._Engine, "_tighten", checking_tighten(chunks))
+        if scheduler == "lsdsf":
+            machines = [machine(RuToneClass.RU26, 0), machine(RuToneClass.RU106, 1)]
+            _, stats = lsdsf_run(jobset, machines, txop=16 * txop_units, grid_us=16)
+        else:
+            _, stats = lsds_run(jobset, int(scheduler[4:]), PHY0, txop=16 * txop_units,
+                                grid_us=16)
+    # each start of a tightened chunk is dropped or evaluated, unless an
+    # eviction ends its sweep first
+    assert stats.bound_rejects == sum(chunks) - stats.exact_evaluations or stats.evictions
+    assert stats.bound_rejects + stats.exact_evaluations <= sum(chunks) <= stats.sweep_survivors
+
+
+def test_tightened_values_through_evictions_and_chunks():
+    # UC3 at 160 MHz evicts and sweeps past the first chunk
+    chunks = []
+    jobs = load_use_case("UC3", 10_000, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_search._Engine, "_tighten", checking_tighten(chunks))
+        _, stats = lsds_run(jobs, 160, PHY0, txop=500, grid_us=16)
+    assert stats.evictions > 0
+    assert max(chunks) > local_search._CHUNK
+
+
+@pytest.mark.parametrize("use_case, width, horizon, txop", [
+    ("UC2", 40, 10_000, DEFAULT_TXOP_US),
+    ("UC3", 160, 10_000, 500),
+])
+def test_engine_counters_repeat_and_add_up(use_case, width, horizon, txop):
+    jobs = load_use_case(use_case, horizon, seed=1)
+    _, first = lsds_run(jobs, width, txop=txop, grid_us=16)
+    _, second = lsds_run(jobs, width, txop=txop, grid_us=16)
+    assert first == second
+    assert first.bound_rejects + first.exact_evaluations <= first.sweep_survivors
+    assert first.config_searches <= first.exact_evaluations
