@@ -13,6 +13,21 @@ is the application's profit-to-deadline ratio except where the horizon
 clipped the deadline. NLRF divides that ratio by
 (transmitted+1)/(generated+1), tracked per application, so starved
 applications drift upward. Ties break by station id.
+
+Scoring a round. RU durations never grow as the tone class widens, so
+head p fits the RU at its position exactly when that RU's class is
+``kmin[p]`` or wider, where ``kmin[p]`` is the narrowest class whose
+duration fits within min(TXOP, deadline - now). A configuration lists
+its RUs widest first, so it fits the heads of class k that sit before
+position ``ConfigTable.suffix[row, k]``, its count of RUs of class k
+or wider. Configurations that fit as many heads of each class fit the
+same heads and score the same; ``_fit_groups`` finds these groups once
+per run for each ``kmin`` vector. A round then sums one row per group,
+head by head in position order as a configurations x positions matrix
+would, so any float profits give the same sums as summing every row.
+Tie rule: the first configuration (in ``enumerate_configurations``
+order) with the maximum round profit wins; it is the first row of the
+first best group.
 """
 
 from __future__ import annotations
@@ -61,6 +76,22 @@ class _Station:
         return job
 
 
+def _fit_groups(table, kmin):
+    """Configurations grouped by the heads they fit (see the module
+    docstring): the first row of each group, ascending, and that row's
+    fit mask over the heads."""
+    n_positions = table.class_mat.shape[1]
+    heads_per_class = np.bincount(kmin, minlength=table.suffix.shape[1] + 1)
+    key = np.zeros(len(table.configs), dtype=np.int64)
+    for k in np.flatnonzero(heads_per_class[:-1]):
+        at_k = np.zeros(n_positions + 1, dtype=np.int64)
+        at_k[1:len(kmin) + 1] = kmin == k
+        fitted = at_k.cumsum()  # heads of class k before each position
+        key = key * (heads_per_class[k] + 1) + fitted[table.suffix[:, k]]
+    rows = np.sort(np.unique(key, return_index=True)[1])
+    return rows, table.class_mat[rows, :len(kmin)] >= kmin[None, :]
+
+
 def greedy_benchmark(
     kind: str,
     jobs: JobSet,
@@ -75,6 +106,8 @@ def greedy_benchmark(
         raise ValueError(f"txop must be positive, got {txop}")
     phy = phy or PhyProfile()
     table = config_table(channel_width)
+    n_positions = table.class_mat.shape[1]
+    fit_groups = {}  # kmin bytes -> _fit_groups, for this run
 
     stations: dict[int, _Station] = {}
     for job in jobs.jobs:
@@ -97,7 +130,7 @@ def greedy_benchmark(
         ratio = job.profit / (job.deadline_abs - job.release)
         if kind == "lrf":
             return -ratio
-        generated = int(np.searchsorted(app_releases[job.app], now, side="right"))
+        generated = int(app_releases[job.app].searchsorted(now, side="right"))
         starvation = (transmitted[job.app] + 1) / (generated + 1)
         return -ratio / starvation
 
@@ -111,17 +144,20 @@ def greedy_benchmark(
                 heads.append((metric(job, now), st.station, st, job))
         if heads:
             heads.sort(key=lambda h: (h[0], h[1]))
-            dur = np.array([class_durations(h[3].size, phy) for h in heads], dtype=np.int64)
-            limit = np.array([min(txop, h[3].deadline_abs - now) for h in heads],
-                             dtype=np.int64)
-            profit = np.array([h[3].profit for h in heads])
-
-            width = min(table.class_mat.shape[1], len(heads))
-            cls = table.class_mat[:, :width]
-            valid = cls >= 0
-            d = dur[np.arange(width)[None, :], np.where(valid, cls, 0)]
-            ok = valid & (d <= limit[None, :width])
-            round_profit = (ok * profit[None, :width]).sum(axis=1)
+            front = [h[3] for h in heads[:n_positions]]
+            dur = np.array([class_durations(j.size, phy) for j in front], dtype=np.int64)
+            limit = np.array([min(txop, j.deadline_abs - now) for j in front], dtype=np.int64)
+            profit = np.array([j.profit for j in front])
+            # durations never grow with the class, so head p fits exactly
+            # the classes from kmin[p] up (kmin == 6: none of them)
+            kmin = (dur > limit[:, None]).sum(axis=1)
+            groups = fit_groups.get(kmin.tobytes())
+            if groups is None:
+                groups = fit_groups[kmin.tobytes()] = _fit_groups(table, kmin)
+            rows, ok = groups
+            # each group's first row, summed as summing every row would;
+            # the first row of the first best group is the first best row
+            round_profit = (ok * profit[None, :]).sum(axis=1)
             best = float(round_profit.max())
         if not heads or best <= 0:
             # nothing can go now: wait for the next arrival or expiry
@@ -130,16 +166,17 @@ def greedy_benchmark(
                 break
             now = min(events)
             continue
-        cfg_idx = int(np.argmax(round_profit == best))  # canonical tie-break
 
+        group = int(np.argmax(round_profit == best))  # canonical tie-break
+        cfg_idx = int(rows[group])
+        fits = np.flatnonzero(ok[group])
         assignments = []
-        end = now
-        for pos in np.nonzero(ok[cfg_idx])[0]:
+        for pos in fits:
             st, job = heads[pos][2], heads[pos][3]
             st.pop()
             transmitted[st.app] += 1
             assignments.append((job.id, int(pos)))
-            end = max(end, now + int(d[cfg_idx, pos]))
+        end = now + int(dur[fits, table.class_mat[cfg_idx, fits]].max())
         batches.append(Batch(
             interval=Interval(now, end),
             assignments=tuple(sorted(assignments)),

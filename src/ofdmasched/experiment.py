@@ -68,9 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"grid_us must be positive, got {self.grid_us}")
         if self.scheduler in _GRID_SCHEDULERS:
             grid = self.grid_us or default_grid_us(ChannelScenario(self.channel).phy())
-            if self.horizon_us < grid:
-                raise ValueError(f"horizon {self.horizon_us} us is shorter than one "
-                                 f"grid step of {grid} us")
+            for name, span in (("horizon", self.horizon_us), ("txop", self.txop_us)):
+                if span < grid:
+                    raise ValueError(f"{name} {span} us is shorter than one "
+                                     f"grid step of {grid} us")
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
                 "A bandwidth of 40 MHz cannot handle this much load: UC3 is sized "

@@ -311,14 +311,16 @@ class ConfigTable:
     """The legal configurations of one channel width, as arrays.
 
     ``counts[i]`` holds configuration i's RU count per tone class
-    (ascending); ``class_mat[i]`` holds the tone-class index of each of
-    its RUs, widest first, padded with -1. Machine tuples are built per
+    (ascending) and ``suffix[i, k]`` its count of RUs of class k or
+    wider; ``class_mat[i]`` holds the tone-class index of each of its
+    RUs, widest first, padded with -1. Machine tuples are built per
     (configuration, PHY) on first use.
     """
 
     def __init__(self, channel_width: int):
         self.configs = enumerate_configurations(channel_width)
         self.counts = np.array([c.counts for c in self.configs], dtype=np.int64)
+        self.suffix = self.counts[:, ::-1].cumsum(axis=1)[:, ::-1]
         width = max(c.total_rus for c in self.configs)
         self.class_mat = np.full((len(self.configs), width), -1, dtype=np.int8)
         for i, cfg in enumerate(self.configs):

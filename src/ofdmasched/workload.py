@@ -104,23 +104,44 @@ def _station_rng(seed: int, scope: str, station: int) -> random.Random:
     return random.Random(f"{seed}:{scope}:{station}")
 
 
-def _draw_size(profile: ApplicationProfile, rng: random.Random) -> int:
-    if profile.size_min == profile.size_max:
-        return profile.size_min
-    return rng.randint(profile.size_min, profile.size_max)
+def _arrivals(profile, kind, horizon, seed, station_base, scope):
+    """``(release, station, deadline_abs, size)`` of every packet, station
+    by station in release order; station RNG streams are keyed by ``scope``."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if kind == "periodic" and profile.period_us < 1:
+        raise ValueError(f"{profile.name}: period below the 1 us grid")
+    fixed = profile.size_min if profile.size_min == profile.size_max else None
+    mean_us = 1e6 / profile.gen_rate
+    rows = []
+    for station in range(station_base, station_base + profile.node_count):
+        rng = _station_rng(seed, scope, station)
+        if kind == "periodic":
+            releases = range(0, horizon, profile.period_us)
+        else:
+            releases = _poisson_releases(rng, mean_us, horizon)
+        for release in releases:
+            size = fixed or rng.randint(profile.size_min, profile.size_max)
+            rows.append((release, station, min(release + profile.deadline_us, horizon), size))
+    return rows
 
 
-def _make_job(profile, horizon, station, release, size, next_id) -> Job:
-    deadline = min(release + profile.deadline_us, horizon)
-    return Job(
-        id=next_id,
-        station=station,
-        release=release,
-        deadline_abs=deadline,
-        profit=profile.profit,
-        size=size,
-        app=profile.name,
-    )
+def _poisson_releases(rng, mean_us, horizon):
+    """Release times with exponential gaps. Lazy: the caller draws each
+    packet's size from the same stream before the next gap."""
+    t = 0.0
+    while True:
+        t += -mean_us * math.log(1.0 - rng.random())
+        release = int(t)
+        if release >= horizon:
+            return
+        yield release
+
+
+def _jobs(profile, rows) -> list[Job]:
+    return [Job(id=i, station=station, release=release, deadline_abs=deadline,
+                profit=profile.profit, size=size, app=profile.name)
+            for i, (release, station, deadline, size) in enumerate(rows)]
 
 
 def generate_periodic(
@@ -135,20 +156,8 @@ def generate_periodic(
     case); the seed draws only the packet sizes. Releases are strictly
     inside [0, horizon); deadlines are clipped to the horizon.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    period = profile.period_us
-    if period < 1:
-        raise ValueError(f"{profile.name}: period below the 1 us grid")
-    jobs = []
-    for s in range(profile.node_count):
-        station = station_base + s
-        rng = _station_rng(seed, profile.name, station)
-        t = 0
-        while t < horizon:
-            jobs.append(_make_job(profile, horizon, station, t, _draw_size(profile, rng), len(jobs)))
-            t += period
-    return jobs
+    return _jobs(profile, _arrivals(profile, "periodic", horizon, seed, station_base,
+                                    profile.name))
 
 
 def generate_poisson(
@@ -159,21 +168,8 @@ def generate_poisson(
 ) -> list[Job]:
     """Poisson arrivals: per-station exponential inter-arrival times with
     mean ``1e6 / gen_rate`` us, floored to the 1 us grid."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    mean_us = 1e6 / profile.gen_rate
-    jobs = []
-    for s in range(profile.node_count):
-        station = station_base + s
-        rng = _station_rng(seed, profile.name, station)
-        t = 0.0
-        while True:
-            t += -mean_us * math.log(1.0 - rng.random())
-            release = int(t)
-            if release >= horizon:
-                break
-            jobs.append(_make_job(profile, horizon, station, release, _draw_size(profile, rng), len(jobs)))
-    return jobs
+    return _jobs(profile, _arrivals(profile, "poisson", horizon, seed, station_base,
+                                    profile.name))
 
 
 # Use-case tables: (name, gen rate pkts/s, size or (min, max) bytes,
@@ -245,29 +241,19 @@ def load_use_case(use_case: str, horizon: int, seed: int) -> JobSet:
     """
     profiles = use_case_profiles(use_case)
     max_profit = max(p.profit for p in profiles)
-    jobs: list[Job] = []
-    station_base = 0
+    rows = []
+    owner = []  # station -> profile
     for p in profiles:
-        scope = f"{use_case}:{p.name}"
-        scoped = ApplicationProfile(**{**p.__dict__, "name": scope})
-        if p.arrival_kind == "poisson":
-            raw = generate_poisson(scoped, horizon, seed, station_base)
-        else:
-            raw = generate_periodic(scoped, horizon, seed, station_base)
-        critical = p.profit == max_profit
-        for j in raw:
-            jobs.append(Job(
-                id=0, station=j.station, release=j.release,
-                deadline_abs=j.deadline_abs, profit=j.profit, size=j.size,
-                critical=critical, app=p.name,
-            ))
-        station_base += p.node_count
-    jobs.sort(key=lambda j: (j.release, j.station, j.deadline_abs))
-    jobs = [Job(id=i, station=j.station, release=j.release,
-                deadline_abs=j.deadline_abs, profit=j.profit, size=j.size,
-                critical=j.critical, app=j.app)
-            for i, j in enumerate(jobs)]
-    return JobSet(jobs=tuple(jobs), horizon=horizon, seed=seed)
+        rows += _arrivals(p, p.arrival_kind, horizon, seed, len(owner), f"{use_case}:{p.name}")
+        owner += [p] * p.node_count
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))  # stable: ties keep table order
+    jobs = tuple(
+        Job(id=i, station=station, release=release, deadline_abs=deadline,
+            profit=owner[station].profit, size=size,
+            critical=owner[station].profit == max_profit, app=owner[station].name)
+        for i, (release, station, deadline, size) in enumerate(rows))
+    del rows  # freed before JobSet's duplicate-id check builds its set
+    return JobSet(jobs=jobs, horizon=horizon, seed=seed)
 
 
 def dump_jobs(jobset: JobSet) -> str:

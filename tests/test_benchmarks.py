@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ofdmasched.benchmarks import greedy_benchmark
+from ofdmasched.benchmarks import BENCHMARK_KINDS, greedy_benchmark
 from ofdmasched.phy import PhyProfile
 from ofdmasched.simulator import validate_schedule
 from ofdmasched.workload import Job, JobSet, load_use_case
+from oracles import benchmarks as oracle
 
 PHY = PhyProfile()
 
@@ -78,3 +81,48 @@ def test_drops_when_overloaded():
     js = JobSet(jobs=jobs, horizon=64, seed=0)
     schedule = greedy_benchmark("edf", js, 20, PHY)
     assert len(schedule.scheduled_jobs) == 9
+
+
+@st.composite
+def job_sets(draw):
+    """Up to 40 jobs on up to 14 stations, with fractional profits and
+    payloads from a few bytes to more than one 26-tone RU carries in 4 ms."""
+    horizon = draw(st.integers(200, 6_000))
+    n_stations = draw(st.integers(1, 14))
+    profit = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3, 2.5]),
+                       st.floats(0.01, 50.0, allow_nan=False, allow_infinity=False))
+    jobs = []
+    for i in range(draw(st.integers(1, 40))):
+        station = draw(st.integers(0, n_stations - 1))
+        release = draw(st.integers(0, horizon - 1))
+        jobs.append(Job(id=i, station=station, release=release,
+                        deadline_abs=min(release + draw(st.integers(1, 3_000)), horizon),
+                        profit=draw(profit), size=draw(st.integers(1, 3_000)),
+                        app=f"app-{station % 3}"))
+    return JobSet(jobs=tuple(jobs), horizon=horizon, seed=0)
+
+
+# In exact arithmetic the one-RU row that fits the urgent 0.3 job ties
+# with the 3-RU rows that fit the 0.1 and 0.2 jobs, but 0.1 + 0.2 > 0.3
+# in binary floating point, so the matrix scorer takes a 3-RU row.
+FLOAT_TIE = JobSet(jobs=(
+    Job(id=0, station=0, release=0, deadline_abs=100, profit=0.3, size=1_000, app="a"),
+    Job(id=1, station=1, release=0, deadline_abs=2_000, profit=0.1, size=10, app="a"),
+    Job(id=2, station=2, release=0, deadline_abs=2_000, profit=0.2, size=10, app="a"),
+), horizon=2_000, seed=0)
+# twelve heads at once, more than the nine RUs of the widest 20 MHz row
+CROWD = JobSet(jobs=tuple(
+    Job(id=i, station=i, release=0, deadline_abs=1_000, profit=0.1 * (i + 1), size=40 * (i + 1),
+        app=f"app-{i % 2}")
+    for i in range(12)), horizon=1_000, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(job_sets(), st.sampled_from(BENCHMARK_KINDS), st.sampled_from([20, 40, 80, 160]),
+       st.integers(16, 4_000))
+@example(FLOAT_TIE, "edf", 20, 4_000)
+@example(CROWD, "lrf", 20, 4_000)
+@example(CROWD, "nlrf", 20, 200)
+def test_rounds_match_the_matrix_scorer(jobs, kind, width, txop):
+    assert greedy_benchmark(kind, jobs, width, PHY, txop) == \
+        oracle.greedy_benchmark(kind, jobs, width, PHY, txop)

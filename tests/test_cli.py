@@ -140,6 +140,24 @@ def test_cli_rejects_horizon_under_one_grid_step(tmp_path, capsys, scheduler):
                  "--grid-us", "50", "--out-dir", str(tmp_path / "fine")]) == 0
 
 
+@pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
+def test_cli_rejects_txop_under_one_grid_step(tmp_path, capsys, scheduler):
+    # like the horizon: a TXOP that holds no grid step is a configuration
+    # error (exit 2), not a failed scheduler stage (exit 1)
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler, "--horizon-us", "20000",
+                 "--txop-us", "10", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "txop 10 us is shorter than one grid step of 112 us" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler, "--horizon-us", "20000",
+                 "--txop-us", "150", "--grid-us", "200"]) == 2
+    assert "txop 150 us is shorter than one grid step of 200 us" in capsys.readouterr().err
+    # the round schedulers have no grid: a 50 us TXOP holds small packets
+    assert main(["run", "--use-case", "UC4", "--scheduler", "edf", "--horizon-us", "20000",
+                 "--txop-us", "50", "--out-dir", str(tmp_path / "edf")]) == 0
+    row = (tmp_path / "edf" / "metrics.csv").read_text().splitlines()[1].split(",")
+    assert float(row[CSV_HEADER.split(",").index("profit_ratio")]) > 0
+
+
 def test_cli_horizon_under_one_grid_step_runs_the_round_schedulers(tmp_path):
     assert main(["run", "--use-case", "UC4", "--scheduler", "edf",
                  "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 0

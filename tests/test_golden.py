@@ -1,8 +1,9 @@
-"""Pinned schedule bytes.
+"""Pinned schedule and job-set bytes.
 
-Each case hashes ``dump_schedule`` of one short run. A changed hash means
-the package now emits different schedules for the same inputs; such a
-change has to be named and explained, and the hash updated with it.
+Each case hashes ``dump_schedule`` of one short run, or ``dump_jobs`` of
+one use-case job set. A changed hash means the package now emits
+different schedules or job sets for the same inputs; such a change has
+to be named and explained, and the hash updated with it.
 Hashes are the first 16 hex digits of the sha256.
 """
 
@@ -20,7 +21,7 @@ from ofdmasched.simulator import (
     run_scenario,
 )
 from ofdmasched.slotted import SlottedApp, slotted_schedule
-from ofdmasched.workload import load_use_case
+from ofdmasched.workload import dump_jobs, load_use_case
 
 PHY = PhyProfile()
 
@@ -59,6 +60,21 @@ SCHEDULES = {
 # more than one chunk of survivors: (use case, width, horizon, txop, grid)
 LONG_LSDS = {("UC3", 160, 10_000, 500, 16): "0d1e1cc4c039f59e"}
 
+# 362 rounds per scheduler, whose packets go on RUs of all six classes:
+# (use case, width, horizon, txop) -> hash per scheduler
+LONG_BASELINES = {("UC3", 160, 10_000, 500): {"edf": "b1d7e53f1b114a41",
+                                              "lrf": "990ee7b85db66960",
+                                              "nlrf": "4a3a5525d71282e4"}}
+
+# (use case, horizon, seed) -> hash of dump_jobs
+JOB_SETS = {
+    ("UC1", 50_000, 1): "4aae3c92022325e5",
+    ("UC2", 50_000, 1): "ed8909774007dceb",
+    ("UC3", 20_000, 1): "07c5282a8679fb98",
+    ("UC3", 20_000, 7): "e241d809a4bdaf30",
+    ("UC4", 200_000, 1): "b28c961a496dc5fb",
+}
+
 # use case -> (horizon, best-effort load in Mbps, packet size, golden hash)
 OVERLAYS = {
     "UC4": (100_000, 20.0, 1500, "43f38f7b7e0e57f4"),
@@ -76,7 +92,16 @@ SLOTTED = {None: "5f55611b8bd3d198", 2: "a75b6107a7f44ca2"}
 
 
 def digest(schedule):
-    return hashlib.sha256(dump_schedule(schedule).encode()).hexdigest()[:16]
+    return text_digest(dump_schedule(schedule))
+
+
+def text_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(JOB_SETS))
+def test_job_set_bytes(case):
+    assert text_digest(dump_jobs(load_use_case(*case))) == JOB_SETS[case]
 
 
 @pytest.mark.parametrize("use_case,scheduler", sorted(SCHEDULES))
@@ -95,6 +120,15 @@ def test_long_lsds_schedule_bytes(case):
     _, schedule = run_scenario(jobs, "lsds", ChannelScenario("ideal"), width,
                                txop=txop, grid_us=grid)
     assert digest(schedule) == LONG_LSDS[case]
+
+
+@pytest.mark.parametrize("scheduler", ["edf", "lrf", "nlrf"])
+@pytest.mark.parametrize("case", sorted(LONG_BASELINES))
+def test_long_baseline_schedule_bytes(case, scheduler):
+    use_case, width, horizon, txop = case
+    jobs = load_use_case(use_case, horizon, seed=1)
+    _, schedule = run_scenario(jobs, scheduler, ChannelScenario("ideal"), width, txop=txop)
+    assert digest(schedule) == LONG_BASELINES[case][scheduler]
 
 
 @pytest.mark.parametrize("use_case", sorted(OVERLAYS))
