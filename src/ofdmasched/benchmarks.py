@@ -105,6 +105,9 @@ def greedy_benchmark(
     if txop <= 0:
         raise ValueError(f"txop must be positive, got {txop}")
     phy = phy or PhyProfile()
+    if txop * 1_000 < phy.symbol_duration_ns:
+        raise ValueError(f"txop {txop} us is shorter than one OFDM symbol "
+                         f"({phy.symbol_duration_ns} ns)")
     table = config_table(channel_width)
     n_positions = table.class_mat.shape[1]
     fit_groups = {}  # kmin bytes -> _fit_groups, for this run

@@ -66,12 +66,16 @@ class ExperimentConfig:
             raise ValueError("horizon, txop and reps must be positive")
         if self.grid_us is not None and self.grid_us <= 0:
             raise ValueError(f"grid_us must be positive, got {self.grid_us}")
+        phy = ChannelScenario(self.channel).phy()
         if self.scheduler in _GRID_SCHEDULERS:
-            grid = self.grid_us or default_grid_us(ChannelScenario(self.channel).phy())
+            grid = self.grid_us or default_grid_us(phy)
             for name, span in (("horizon", self.horizon_us), ("txop", self.txop_us)):
                 if span < grid:
                     raise ValueError(f"{name} {span} us is shorter than one "
                                      f"grid step of {grid} us")
+        if self.txop_us * 1_000 < phy.symbol_duration_ns:
+            raise ValueError(f"txop {self.txop_us} us is shorter than one OFDM symbol "
+                             f"({phy.symbol_duration_ns} ns)")
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
                 "A bandwidth of 40 MHz cannot handle this much load: UC3 is sized "
@@ -159,7 +163,11 @@ def run(config: ExperimentConfig) -> MetricsRow:
     rows = [row]
     if config.reps > 1:
         seeds = list(range(config.seed + 1, config.seed + config.reps))
-        workers = int(os.environ.get("DPMSS_THREADS", "1"))
+        threads = os.environ.get("DPMSS_THREADS", "1")
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise ValueError(f"DPMSS_THREADS must be an integer, got {threads!r}") from None
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 extra = list(pool.map(_rep_worker, [(config, s) for s in seeds]))

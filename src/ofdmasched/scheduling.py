@@ -97,14 +97,16 @@ def parse_schedule(
     phy: PhyProfile,
 ) -> Schedule:
     rows: dict[int, dict] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        idx, t1, t2, cfg, job, mach = line.split()
-        entry = rows.setdefault(int(idx), {"t1": int(t1), "t2": int(t2),
-                                           "cfg": int(cfg), "pairs": []})
-        entry["pairs"].append((int(job), int(mach)))
+        try:
+            idx, t1, t2, cfg, job, mach = map(int, line.split())
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {line!r}: {exc}") from None
+        entry = rows.setdefault(idx, {"t1": t1, "t2": t2, "cfg": cfg, "pairs": []})
+        entry["pairs"].append((job, mach))
     table = config_table(channel_width)
     batches = []
     for idx in sorted(rows):

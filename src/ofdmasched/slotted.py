@@ -15,6 +15,17 @@ pattern repeats), so its matching is the true optimum; with
 slots ahead and keeps a record of already-scheduled packets so they do
 not reappear in later windows. Both are restricted to equal-RU
 configurations and reject anything else.
+
+The matcher works on runs, not packets. A run is the packets one app
+releases in one slot: they share release, deadline, profit and size, and
+they get consecutive ids. A window checks Hall's condition once per run
+and places a run's packets together; the windowed heuristic carries the
+unmatched tail of a run to the next window. This is exact: the ids of a
+run, and of any tail of it, form one block that no other packet's id
+falls inside, so ordering runs by their first id orders their packets
+exactly as ordering the packets one by one would. Schedules are the same,
+byte for byte, as those of the per-packet matcher in
+``tests/oracles/slotted.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,96 +111,134 @@ def _hyperperiod(apps) -> int:
     return lcm
 
 
-def slotted_jobset(apps: list[SlottedApp], horizon_slots: int) -> JobSet:
-    """The concrete packets implied by the slot model, as a JobSet."""
+class _Run(NamedTuple):
+    """Packets ``first`` .. ``end - 1``, all released by one app in one slot.
+
+    They differ only in id and station, so the matcher handles them as a
+    unit; a tail left unmatched by one window is the run with a later
+    ``first``.
+    """
+
+    first: int
+    end: int  # exclusive
+    slot: int  # of arrival
+    deadline_abs: int
+    profit: float
+    size: int
+
+
+def _runs(apps: list[SlottedApp], horizon_slots: int) -> tuple[list[_Run], JobSet]:
+    """The packets implied by the slot model, as runs in id order and as a JobSet."""
     horizon_us = horizon_slots * SLOT_US
-    jobs = []
     max_profit = max(a.profit for a in apps)
     station_base = {}
     base = 0
     for app in apps:
         station_base[app.name] = base
         base += app.node_count
+    per_app = [(app, station_base[app.name], (app.deadline_slots + 1) * SLOT_US,
+                app.profit == max_profit) for app in apps if app.node_count > 0]
+    runs, jobs = [], []
     for slot in range(horizon_slots):
-        for app in apps:
+        release = slot * SLOT_US
+        for app, station, reach, critical in per_app:
             if slot % app.period_slots:
                 continue
-            for node in range(app.node_count):
-                deadline = min((slot + app.deadline_slots + 1) * SLOT_US, horizon_us)
-                jobs.append(Job(
-                    id=len(jobs), station=station_base[app.name] + node,
-                    release=slot * SLOT_US, deadline_abs=deadline,
-                    profit=app.profit, size=app.size,
-                    critical=app.profit == max_profit, app=app.name,
-                ))
-    return JobSet(jobs=tuple(jobs), horizon=horizon_us, seed=0)
+            first = len(jobs)
+            deadline = min(release + reach, horizon_us)
+            # positional arguments: keywords cost a quarter of the build
+            jobs += [Job(first + node, station + node, release, deadline, app.profit,
+                         app.size, critical, app.name)
+                     for node in range(app.node_count)]
+            runs.append(_Run(first, len(jobs), slot, deadline, app.profit, app.size))
+    return runs, JobSet(jobs=tuple(jobs), horizon=horizon_us, seed=0)
 
 
-def _window_batches(packets, config, phy, w_start, w_len):
-    """Match ``packets`` (released before the window ends, with deadlines
-    after it starts) against the (slot, RU) grid of one window; return the
-    batches of the matched ones.
+def slotted_jobset(apps: list[SlottedApp], horizon_slots: int) -> JobSet:
+    """The concrete packets implied by the slot model, as a JobSet."""
+    return _runs(apps, horizon_slots)[1]
+
+
+def _window_batches(runs, config, phy, w_start, w_len):
+    """Match the packets of ``runs`` (released before the window ends, with
+    deadlines after it starts) against the (slot, RU) grid of one window;
+    return the batches of the matched packets and the unmatched tails.
 
     A packet may take any of the j RUs of any slot of its in-window range
     [s, e], so the graph is convex and a packet set fits iff every slot
     interval [x, y] contains at most j * (y - x + 1) of its ranges. Packets
     are accepted greedily by descending profit, then deadline, then id,
     which gives a maximum-profit set; earliest-deadline-first then places
-    every accepted packet, slot by slot.
+    every accepted packet, slot by slot. All packets of a run share their
+    range and sort next to each other in both orders, so each step takes as
+    many of a run's packets, from its front, as the step allows.
     """
     j_rus = _check_equal_config(config)
     machines = tuple(machines_for_configuration(config, phy))
     ru_class = machines[0].tone_class
     w_end = w_start + w_len  # exclusive
-    if not packets:
-        return []
-    duration = {size: tx_duration_us(size, ru_class, phy) for size in {p.size for p in packets}}
+    if not runs:
+        return [], []
+    duration = {size: tx_duration_us(size, ru_class, phy) for size in {r.size for r in runs}}
     for size, d in duration.items():
         if d >= SLOT_US:
             raise ValueError(f"packet of {size} B does not fit a slot on {config}")
-    ranges = {job.id: (max(job.release // SLOT_US, w_start),
-                       min((job.deadline_abs - 1) // SLOT_US, w_end - 1))
-              for job in packets}
+    # by descending profit, then deadline, then id; ``first`` is unique
+    ranked = sorted((-r.profit, r.deadline_abs, r.first, max(r.slot, w_start),
+                     min((r.deadline_abs - 1) // SLOT_US, w_end - 1), r) for r in runs)
     # Hall's condition needs checking only on intervals from some range's
     # start to some range's end
-    starts = sorted({s for s, _ in ranges.values()})
-    ends = sorted({e for _, e in ranges.values()})
+    starts = sorted({item[3] for item in ranked})
+    ends = sorted({item[4] for item in ranked})
     if len(starts) * len(ends) > MATRIX_GUARD_CELLS:
         raise ValueError("matching graph exceeds the size guard")
     spare = j_rus * (np.subtract.outer(ends, starts).T + 1)  # [x, y] -> room left
-    accepted = []
-    for job in sorted(packets, key=lambda p: (-p.profit, p.deadline_abs, p.id)):
-        s, e = ranges[job.id]
+    accepted = []  # (s, deadline, first, end, e, size) of accepted fronts of runs
+    unmatched = []
+    for _, deadline, first, s, e, run in ranked:
         # the intervals [x, y] with x <= s and y >= e contain the range
         room = spare[: bisect.bisect_right(starts, s), bisect.bisect_left(ends, e):]
-        if room.min() > 0:
-            room -= 1
-            accepted.append(job)
+        k = min(run.end - first, int(room.min()))
+        if k:
+            room -= k
+            accepted.append((s, deadline, first, first + k, e, run.size))
+        if first + k < run.end:
+            unmatched.append(run._replace(first=first + k))
 
-    accepted.sort(key=lambda p: (ranges[p.id][0], p.deadline_abs, p.id))
-    ready = []  # (deadline, id, job) of arrived, unplaced packets
+    accepted.sort()
+    ready = []  # (deadline, first, end, e, size) of arrived, unplaced packets
     nxt = 0
     batches = []
     for slot in range(w_start, w_end):
-        while nxt < len(accepted) and ranges[accepted[nxt].id][0] == slot:
-            job = accepted[nxt]
-            heapq.heappush(ready, (job.deadline_abs, job.id, job))
+        while nxt < len(accepted) and accepted[nxt][0] == slot:
+            heapq.heappush(ready, accepted[nxt][1:])
             nxt += 1
-        sent = [heapq.heappop(ready)[2] for _ in range(min(j_rus, len(ready)))]
-        if not sent:
+        if not ready:
             continue
-        if ranges[sent[0].id][1] < slot:
+        if ready[0][3] < slot:
             raise AssertionError("accepted packet missed its range; Hall check bug")
+        sent = []  # (first id, count, first RU)
+        ru = longest = 0
+        while ru < j_rus and ready:
+            deadline, first, end, e, size = heapq.heappop(ready)
+            take = min(j_rus - ru, end - first)
+            sent.append((first, take, ru))
+            longest = max(longest, duration[size])
+            if first + take < end:
+                heapq.heappush(ready, (deadline, first + take, end, e, size))
+            ru += take
+        sent.sort()
         t1 = slot * SLOT_US
         batches.append(Batch(
-            interval=Interval(t1, t1 + max(duration[job.size] for job in sent)),
-            assignments=tuple(sorted((job.id, ru) for ru, job in enumerate(sent))),
+            interval=Interval(t1, t1 + longest),
+            assignments=tuple(pair for first, take, ru in sent
+                              for pair in zip(range(first, first + take), range(ru, ru + take))),
             machines=machines,
             config=config,
         ))
     if ready:
         raise AssertionError("accepted packet left unplaced; Hall check bug")
-    return batches
+    return batches, unmatched
 
 
 def slotted_schedule(
@@ -211,20 +261,17 @@ def slotted_schedule(
     if window_n is not None and window_n < 1:
         raise ValueError("window must be at least one slot")
     phy = phy or PhyProfile()
-    jobset = slotted_jobset(apps, horizon_slots)
-    jobs = jobset.jobs  # in release order
+    runs, jobset = _runs(apps, horizon_slots)  # runs in release order
     step = _hyperperiod(apps) if window_n is None else window_n
     batches = []
-    waiting = []  # released, unmatched packets
+    waiting = []  # unmatched tails of released runs
     nxt = 0
     for start in range(0, horizon_slots, step):
         w_len = min(step, horizon_slots - start)
-        while nxt < len(jobs) and jobs[nxt].release < (start + w_len) * SLOT_US:
-            waiting.append(jobs[nxt])
+        while nxt < len(runs) and runs[nxt].slot < start + w_len:
+            waiting.append(runs[nxt])
             nxt += 1
-        waiting = [j for j in waiting if j.deadline_abs > start * SLOT_US]
-        window = _window_batches(waiting, config, phy, start, w_len)
-        matched = {j for b in window for j in b.job_ids}
-        waiting = [j for j in waiting if j.id not in matched]
+        waiting = [r for r in waiting if r.deadline_abs > start * SLOT_US]
+        window, waiting = _window_batches(waiting, config, phy, start, w_len)
         batches.extend(window)
     return make_schedule(batches, {j.id: j.profit for j in jobset.jobs}), jobset

@@ -271,20 +271,25 @@ def dump_jobs(jobset: JobSet) -> str:
 def parse_jobs(text: str) -> JobSet:
     horizon, seed = 0, 0
     jobs = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            meta = dict(kv.split("=") for kv in line[1:].split())
-            horizon = int(meta.get("horizon_us", 0))
-            seed = int(meta.get("seed", 0))
-            continue
-        f = line.split(maxsplit=7)
-        jobs.append(Job(id=int(f[0]), station=int(f[1]), release=int(f[2]),
-                        deadline_abs=int(f[3]), profit=float(f[4]),
-                        size=int(f[5]), critical=bool(int(f[6])),
-                        app=f[7] if len(f) > 7 else ""))
+        try:
+            if line.startswith("#"):
+                meta = dict(kv.split("=") for kv in line[1:].split())
+                horizon = int(meta.get("horizon_us", 0))
+                seed = int(meta.get("seed", 0))
+                continue
+            f = line.split(maxsplit=7)
+            if len(f) < 7:
+                raise ValueError(f"expected at least 7 fields, got {len(f)}")
+            jobs.append(Job(id=int(f[0]), station=int(f[1]), release=int(f[2]),
+                            deadline_abs=int(f[3]), profit=float(f[4]),
+                            size=int(f[5]), critical=bool(int(f[6])),
+                            app=f[7] if len(f) > 7 else ""))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {line!r}: {exc}") from None
     if not horizon and jobs:
         horizon = max(j.deadline_abs for j in jobs)
     return JobSet(jobs=tuple(jobs), horizon=horizon, seed=seed)

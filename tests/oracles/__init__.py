@@ -3,6 +3,7 @@
 ``benchmarks`` holds the matrix-scoring round scheduler, ``matching``
 Hungarian max-weight matching (scipy) and the exact per-interval
 configuration search, ``exhaustive`` the brute-force optimum of tiny
-instances, and ``rates`` the reference PHY rate that durations are
-checked against. No code under ``src/`` imports them.
+instances, ``rates`` the reference PHY rate that durations are checked
+against, and ``slotted`` the per-packet slotted matcher. No code under
+``src/`` imports them.
 """

@@ -26,6 +26,16 @@ def test_non_positive_txop_rejected(txop):
         greedy_benchmark("edf", js, 40, PHY, txop=txop)
 
 
+def test_txop_under_one_symbol_rejected():
+    # 10 us is shorter than one 16 us symbol: nothing transmits, and the
+    # empty schedule would validate clean
+    js = load_use_case("UC4", 20_000, seed=1)
+    with pytest.raises(ValueError, match="shorter than one OFDM symbol"):
+        greedy_benchmark("edf", js, 40, PHY, txop=10)
+    # a TXOP of exactly one symbol carries the smallest packets
+    assert greedy_benchmark("edf", js, 40, PHY, txop=PHY.symbol_duration_ns // 1_000).scheduled_jobs
+
+
 def test_equal_profits_make_edf_and_lrf_behave_the_same():
     # every UC1 application has profit 10, so deadline order and
     # profit-to-deadline order coincide and the two schedulers tie

@@ -158,6 +158,14 @@ def test_cli_rejects_txop_under_one_grid_step(tmp_path, capsys, scheduler):
     assert float(row[CSV_HEADER.split(",").index("profit_ratio")]) > 0
 
 
+@pytest.mark.parametrize("scheduler", ["edf", "lrf", "nlrf"])
+def test_cli_rejects_txop_under_one_symbol(tmp_path, capsys, scheduler):
+    assert main(["run", "--use-case", "UC4", "--scheduler", scheduler, "--horizon-us", "20000",
+                 "--txop-us", "10", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "txop 10 us is shorter than one OFDM symbol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_horizon_under_one_grid_step_runs_the_round_schedulers(tmp_path):
     assert main(["run", "--use-case", "UC4", "--scheduler", "edf",
                  "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 0
@@ -197,3 +205,21 @@ def test_reps_fan_out_across_workers(tmp_path, monkeypatch):
     parallel = [drop_runtime(r) for r in (out / "metrics.csv").read_text().splitlines()[1:]]
     serial = [drop_runtime(r) for r in (out2 / "metrics.csv").read_text().splitlines()[1:]]
     assert parallel == serial
+
+
+def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DPMSS_THREADS", "x")
+    assert main(["run", "--use-case", "UC4", "--scheduler", "edf", "--horizon-us", "20000",
+                 "--reps", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "DPMSS_THREADS must be an integer, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("0 0 100 0 1 0\n0 0 100 0 2\n", "line 2: '0 0 100 0 2': not enough values to unpack"),
+    ("0 0 100 0 1 0 7\n", "line 1: '0 0 100 0 1 0 7': too many values to unpack"),
+    ("# header\n0 0 1OO 0 1 0\n", "line 2: '0 0 1OO 0 1 0': invalid literal"),
+])
+def test_parse_schedule_names_the_bad_line(text, where):
+    with pytest.raises(ValueError) as info:
+        parse_schedule(text, {1: 1.0, 2: 1.0}, 40, PhyProfile())
+    assert str(info.value).startswith(where)

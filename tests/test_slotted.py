@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofdmasched.phy import (
     PhyProfile,
@@ -9,6 +11,7 @@ from ofdmasched.phy import (
     full_26_tone_configuration,
     machines_for_configuration,
 )
+from ofdmasched.scheduling import dump_schedule
 from ofdmasched.simulator import validate_schedule
 from ofdmasched.slotted import (
     SLOT_US,
@@ -17,8 +20,9 @@ from ofdmasched.slotted import (
     slotted_jobset,
     slotted_schedule,
 )
-from ofdmasched.workload import ApplicationProfile
+from ofdmasched.workload import ApplicationProfile, dump_jobs
 
+from oracles import slotted as oracle
 from oracles.exhaustive import brute_force_optimal
 from oracles.matching import BipartiteInstance, max_weight_matching
 
@@ -176,3 +180,46 @@ def test_window_beyond_dense_matrix_size():
     schedule, jobs = slotted_schedule(apps, config, 1000)
     assert len(schedule.scheduled_jobs) == len(jobs) == 300
     assert validate_schedule(schedule, jobs, 40, PHY, 4_000) == []
+
+
+@st.composite
+def app_sets(draw):
+    """One to four apps with one to five stations each; a twin shares
+    period, deadline and profit with an earlier app, so runs of different
+    apps tie on every sort key but their first id."""
+    apps = []
+    for i in range(draw(st.integers(1, 4))):
+        if apps and draw(st.booleans()):
+            twin = draw(st.sampled_from(apps))
+            period, deadline, profit = twin.period_slots, twin.deadline_slots, twin.profit
+        else:
+            period = draw(st.integers(1, 4))
+            deadline = draw(st.integers(0, period - 1))
+            profit = float(draw(st.integers(1, 3)))
+        apps.append(SlottedApp(f"a{i}", period, draw(st.sampled_from((10, 50, 100))),
+                               deadline, profit, draw(st.integers(1, 5))))
+    return apps
+
+
+TWINS = [SlottedApp("a0", 2, 50, 1, 2.0, 3), SlottedApp("a1", 2, 10, 1, 2.0, 4),
+         SlottedApp("a2", 4, 100, 3, 2.0, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_sets(), st.sampled_from([ONE_242, TWO_242, full_26_tone_configuration(20)]),
+       st.integers(1, 2))
+@example(TWINS, ONE_242, 2)
+def test_runs_match_the_per_packet_matcher(apps, config, hyperperiods):
+    horizon = hyperperiods * math.lcm(*(a.period_slots for a in apps))
+    jobs = slotted_jobset(apps, horizon)
+    assert dump_jobs(jobs) == dump_jobs(oracle.slotted_jobset(apps, horizon))
+    for window_n in [None, *range(1, horizon + 1)]:
+        schedule, got_jobs = slotted_schedule(apps, config, horizon, window_n, PHY)
+        expected, _ = oracle.slotted_schedule(apps, config, horizon, window_n, PHY)
+        assert dump_schedule(schedule) == dump_schedule(expected)
+        assert schedule == expected and got_jobs == jobs
+        if window_n is None:
+            # no packet's range crosses a hyper-period boundary, so the
+            # per-hyper-period optimum is the optimum of the whole graph
+            assert schedule.total_profit == pytest.approx(
+                window_graph_optimum(apps, config, horizon))

@@ -144,6 +144,19 @@ def test_jobs_round_trip_without_app():
     assert parse_jobs(dump_jobs(js)) == js
 
 
+@pytest.mark.parametrize("text,where", [
+    ("0 1 2", "line 1: '0 1 2': expected at least 7 fields, got 3"),
+    ("# horizon_us=100\n\n0 0 0 100 1.0 10 0 a\n1 0 x 100 1.0 10 0 a",
+     "line 4: '1 0 x 100 1.0 10 0 a': invalid literal"),
+    ("# horizon_us\n", "line 1: '# horizon_us':"),
+    ("0 0 50 50 1.0 10 0 a", "line 1: '0 0 50 50 1.0 10 0 a': job 0: release 50 >= deadline 50"),
+])
+def test_parse_jobs_names_the_bad_line(text, where):
+    with pytest.raises(ValueError) as info:
+        parse_jobs(text)
+    assert str(info.value).startswith(where)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         ApplicationProfile("bad", 0, 10, 10, 1_000, 1, 1)
