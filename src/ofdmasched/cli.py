@@ -11,14 +11,14 @@ validated clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .experiment import CSV_HEADER, SCHEDULERS, ExperimentConfig, compare, run
 from .workload import USE_CASES
 
-_CONFIG_KEYS = ("use_case", "scheduler", "bandwidth_mhz", "channel", "seed",
-                "horizon_us", "txop_us", "grid_us", "reps", "out_dir", "force")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _add_common(parser):
@@ -36,8 +36,13 @@ def _add_common(parser):
 def _build_config(args, overrides) -> ExperimentConfig:
     values = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config}: {exc.strerror}") from None
+        if not isinstance(file_values, dict):
+            raise ValueError("the config file must hold a JSON object")
         unknown = set(file_values) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -46,9 +51,9 @@ def _build_config(args, overrides) -> ExperimentConfig:
         v = overrides.get(key)
         if v is not None:
             values[key] = v
-    if "use_case" not in values or "scheduler" not in values:
-        raise ValueError("use_case and scheduler are required (flag or config file)")
-    values.setdefault("force", False)
+    for key in ("use_case", "scheduler"):
+        if key not in values:
+            raise ValueError(f"{key} is required (flag or config file)")
     return ExperimentConfig(**values)
 
 
@@ -69,25 +74,17 @@ def main(argv=None) -> int:
                        help="comma-separated list, e.g. lsds,edf,lrf")
 
     args = parser.parse_args(argv)
+    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
     try:
         if args.command == "run":
-            overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-            config = _build_config(args, overrides)
-            row = run(config)
+            row = run(_build_config(args, overrides))
             print(CSV_HEADER)
             print(row.csv())
             return 0
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+        # compare writes compare.csv to --out-dir, not one run's artifacts
         names = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-        configs = []
-        for name in names:
-            values = dict(overrides)
-            values["scheduler"] = name
-            values.pop("out_dir", None)
-            base = {k: v for k, v in values.items() if v is not None}
-            if "use_case" not in base:
-                raise ValueError("--use-case is required")
-            configs.append(ExperimentConfig(**base))
+        configs = [_build_config(args, {**overrides, "scheduler": name, "out_dir": None})
+                   for name in names]
         table, rows = compare(configs)
         print(table)
         if args.out_dir:

@@ -15,7 +15,8 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .local_search import DEFAULT_TXOP_US, default_grid_us
@@ -37,6 +38,7 @@ SCHEDULERS = tuple(scheduler_registry())
 _GRID_SCHEDULERS = ("lsds", "lsdsf")
 CSV_HEADER = ("use_case,scheduler,bandwidth_mhz,channel,seed,"
               "profit_ratio,drop_pct,critical_drop_pct,runtime_ms")
+_TYPES = {"int": int, "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,13 @@ class ExperimentConfig:
     force: bool = False
 
     def validate(self):
+        for f in fields(self):
+            # annotations are strings here: "int", "int | None", "str", "bool", ...
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            # exact type: a bool is not an int, nor an int a bool
+            if not (value is None and optional) and type(value) is not _TYPES[kind]:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.use_case not in USE_CASES:
             raise ValueError(f"unknown use case {self.use_case}; choose from {USE_CASES}")
         if self.scheduler not in SCHEDULERS:
@@ -125,25 +134,34 @@ def _metrics_from(config, jobs: JobSet, report: SimulationReport) -> MetricsRow:
     )
 
 
-def _single_run(config: ExperimentConfig) -> tuple[MetricsRow, JobSet, Schedule, SimulationReport]:
-    scenario = ChannelScenario(config.channel)
-    stage = "workload"
+@contextmanager
+def _stage(name: str):
     try:
-        jobs = load_use_case(config.use_case, config.horizon_us, config.seed)
-        stage = "scheduler"
-        report, schedule = run_scenario(
-            jobs, config.scheduler, scenario, config.bandwidth_mhz,
-            txop=config.txop_us, grid_us=config.grid_us)
-        stage = "metrics"
-        row = _metrics_from(config, jobs, report)
+        yield
     except Exception as exc:
-        raise RuntimeError(f"stage '{stage}' failed: {exc}") from exc
-    return row, jobs, schedule, report
+        raise RuntimeError(f"stage '{name}' failed: {exc}") from exc
+
+
+def _load_jobs(config: ExperimentConfig) -> JobSet:
+    with _stage("workload"):
+        return load_use_case(config.use_case, config.horizon_us, config.seed)
+
+
+def _single_run(config: ExperimentConfig,
+                jobs: JobSet) -> tuple[MetricsRow, Schedule, SimulationReport]:
+    with _stage("scheduler"):
+        report, schedule = run_scenario(
+            jobs, config.scheduler, ChannelScenario(config.channel), config.bandwidth_mhz,
+            txop=config.txop_us, grid_us=config.grid_us)
+    with _stage("metrics"):
+        row = _metrics_from(config, jobs, report)
+    return row, schedule, report
 
 
 def _rep_worker(args):
     config, seed = args
-    row, *_ = _single_run(replace(config, seed=seed))
+    config = replace(config, seed=seed)
+    row, *_ = _single_run(config, _load_jobs(config))
     return row
 
 
@@ -158,7 +176,8 @@ def _confidence(values):
 def run(config: ExperimentConfig) -> MetricsRow:
     """Run one experiment (plus repetitions) and write artifacts."""
     config.validate()
-    row, jobs, schedule, report = _single_run(config)
+    jobs = _load_jobs(config)
+    row, schedule, report = _single_run(config, jobs)
 
     rows = [row]
     if config.reps > 1:
@@ -183,9 +202,9 @@ def run(config: ExperimentConfig) -> MetricsRow:
         (out / "metrics.csv").write_text(
             "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n")
         payload = {
-            "config": {k: getattr(config, k) for k in (
-                "use_case", "scheduler", "bandwidth_mhz", "channel", "seed",
-                "horizon_us", "txop_us", "grid_us", "reps")},
+            # out_dir and force do not change what a run computes
+            "config": {k: v for k, v in asdict(config).items()
+                       if k not in ("out_dir", "force")},
             "delivered": sorted(report.delivered),
             "dropped": sorted(report.dropped),
             "per_app": report.per_app,
@@ -213,11 +232,10 @@ def compare(configs: list[ExperimentConfig]) -> tuple[str, list[MetricsRow]]:
                                                   anchor.horizon_us):
             raise ValueError("compared configurations must share use case, seed "
                              "and horizon")
-    rows = []
     for c in configs:
         c.validate()
-        row, *_ = _single_run(c)
-        rows.append(row)
+    jobs = _load_jobs(anchor)
+    rows = [_single_run(c, jobs)[0] for c in configs]
     header = f"{'scheduler':<18}{'profit_ratio':>14}{'drop_pct':>10}{'crit_drop':>11}{'runtime_ms':>12}"
     lines = [header, "-" * len(header)]
     for r in rows:

@@ -213,10 +213,6 @@ class RuConfiguration:
     def total_rus(self) -> int:
         return sum(self.counts)
 
-    @property
-    def total_tones(self) -> int:
-        return sum(n * int(c) for n, c in zip(self.counts, TONE_CLASSES))
-
     def sort_key(self) -> tuple:
         """Deterministic order: fewer RUs first, then counts lexicographically."""
         return (self.total_rus, self.counts)

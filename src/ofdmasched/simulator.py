@@ -2,9 +2,10 @@
 
 The validator re-derives every feasibility constraint from scratch:
 batch intervals within the TXOP, configurations legal for the channel,
-one job per machine, admissibility of every assignment (release by the
-batch start, completion by batch end and deadline), bandwidth within the
-budget, pairwise disjoint batches, and no job in two batches. Violations
+every assigned RU on the channel's PHY, one job per machine,
+admissibility of every assignment (release by the batch start,
+completion by batch end and deadline), bandwidth within the budget,
+pairwise disjoint batches, and no job in two batches. Violations
 come back as data; an empty list means the schedule is feasible.
 
 The best-effort overlay adds best-effort packets to a factory schedule
@@ -51,8 +52,6 @@ __all__ = [
     "best_effort_overlay",
 ]
 
-CHANNEL_QUALITIES = ("ideal", "slightly_poor", "moderately_poor", "very_poor")
-
 # Channel quality -> MCS. The 5/15/40 m rings map to progressively lower
 # rates; 40 m lands at BPSK 1/2, which is what makes the most loaded use
 # case shed critical packets only there.
@@ -63,6 +62,8 @@ DEFAULT_MCS_MAP = {
     "very_poor": 0,
 }
 
+CHANNEL_QUALITIES = tuple(DEFAULT_MCS_MAP)
+
 
 @dataclass(frozen=True)
 class ChannelScenario:
@@ -72,9 +73,8 @@ class ChannelScenario:
         if self.quality not in CHANNEL_QUALITIES:
             raise ValueError(f"unknown channel quality: {self.quality}")
 
-    def phy(self, base: PhyProfile | None = None) -> PhyProfile:
-        base = base or PhyProfile()
-        return replace(base, mcs=DEFAULT_MCS_MAP[self.quality])
+    def phy(self) -> PhyProfile:
+        return PhyProfile(mcs=DEFAULT_MCS_MAP[self.quality])
 
 
 def validate_schedule(
@@ -115,6 +115,9 @@ def validate_schedule(
                 continue
             machine = b.machines[m_idx]
             active_bw += machine.bandwidth
+            if machine.phy != phy:
+                violations.append(f"phy: batch {i} machine {m_idx} runs {machine.phy}, "
+                                  f"not the channel's {phy}")
             job = by_id.get(job_id)
             if job is None:
                 violations.append(f"unknown job: batch {i} job {job_id}")
@@ -151,8 +154,6 @@ class SimulationReport:
     dropped: frozenset[int]
     per_app: dict
     runtime_ms: float
-    scheduler: str
-    quality: str
 
     def __post_init__(self):
         if self.delivered & self.dropped:
@@ -193,7 +194,6 @@ def run_scenario(
     scheduler: str,
     scenario: ChannelScenario,
     channel_width: int,
-    phy: PhyProfile | None = None,
     txop: int = 4_000,
     grid_us: int | None = None,
 ) -> tuple[SimulationReport, Schedule]:
@@ -206,7 +206,7 @@ def run_scenario(
     registry = scheduler_registry()
     if scheduler not in registry:
         raise ValueError(f"unregistered scheduler: {scheduler}")
-    phy = scenario.phy(phy)
+    phy = scenario.phy()
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
     t0 = time.perf_counter()
     try:
@@ -231,8 +231,7 @@ def run_scenario(
         row["delivered" if j.id in delivered else "dropped"] += 1
     report = SimulationReport(
         delivered=delivered, dropped=dropped, per_app=per_app,
-        runtime_ms=runtime_ms, scheduler=scheduler, quality=scenario.quality,
-    )
+        runtime_ms=runtime_ms)
     return report, schedule
 
 

@@ -40,12 +40,11 @@ import numpy as np
 
 from .phy import PhyProfile, RuConfiguration, machines_for_configuration, tx_duration_us
 from .scheduling import Batch, Interval, Schedule, make_schedule
-from .workload import ApplicationProfile, Job, JobSet
+from .workload import Job, JobSet
 
 __all__ = [
     "SLOT_US",
     "SlottedApp",
-    "slotted_apps_from_profiles",
     "slotted_jobset",
     "slotted_schedule",
 ]
@@ -75,24 +74,6 @@ class SlottedApp:
             raise ValueError("period must be at least one slot")
         if not 0 <= self.deadline_slots < self.period_slots:
             raise ValueError("need 0 <= deadline < period (no station queuing)")
-
-
-def slotted_apps_from_profiles(profiles: list[ApplicationProfile]) -> list[SlottedApp]:
-    """Convert microsecond profiles to slot units; rejects off-grid periods."""
-    apps = []
-    for p in profiles:
-        period_us = p.period_us
-        if period_us % SLOT_US:
-            raise ValueError(f"{p.name}: period {period_us} us is not a whole slot")
-        apps.append(SlottedApp(
-            name=p.name,
-            period_slots=period_us // SLOT_US,
-            size=p.size_max,
-            deadline_slots=p.deadline_us // SLOT_US,
-            profit=p.profit,
-            node_count=p.node_count,
-        ))
-    return apps
 
 
 def _check_equal_config(config: RuConfiguration) -> int:
@@ -131,13 +112,13 @@ def _runs(apps: list[SlottedApp], horizon_slots: int) -> tuple[list[_Run], JobSe
     """The packets implied by the slot model, as runs in id order and as a JobSet."""
     horizon_us = horizon_slots * SLOT_US
     max_profit = max(a.profit for a in apps)
-    station_base = {}
-    base = 0
+    per_app = []
+    station = 0  # an app's stations follow those of the apps before it
     for app in apps:
-        station_base[app.name] = base
-        base += app.node_count
-    per_app = [(app, station_base[app.name], (app.deadline_slots + 1) * SLOT_US,
-                app.profit == max_profit) for app in apps if app.node_count > 0]
+        if app.node_count > 0:
+            per_app.append((app, station, (app.deadline_slots + 1) * SLOT_US,
+                            app.profit == max_profit))
+        station += app.node_count
     runs, jobs = [], []
     for slot in range(horizon_slots):
         release = slot * SLOT_US

@@ -19,8 +19,6 @@ __all__ = [
     "JobSet",
     "USE_CASES",
     "use_case_profiles",
-    "generate_periodic",
-    "generate_poisson",
     "load_use_case",
     "dump_jobs",
     "parse_jobs",
@@ -104,19 +102,26 @@ def _station_rng(seed: int, scope: str, station: int) -> random.Random:
     return random.Random(f"{seed}:{scope}:{station}")
 
 
-def _arrivals(profile, kind, horizon, seed, station_base, scope):
+def _arrivals(profile, horizon, seed, station_base, scope):
     """``(release, station, deadline_abs, size)`` of every packet, station
-    by station in release order; station RNG streams are keyed by ``scope``."""
+    by station in release order; station RNG streams are keyed by ``scope``.
+
+    Periodic stations are synchronized (every one releases at 0, the
+    adversarial case) and the seed draws only packet sizes; Poisson gaps
+    are exponential with mean ``1e6 / gen_rate`` us, floored to the 1 us
+    grid. Releases fall in [0, horizon); deadlines are clipped to it.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if kind == "periodic" and profile.period_us < 1:
+    periodic = profile.arrival_kind == "periodic"
+    if periodic and profile.period_us < 1:
         raise ValueError(f"{profile.name}: period below the 1 us grid")
     fixed = profile.size_min if profile.size_min == profile.size_max else None
     mean_us = 1e6 / profile.gen_rate
     rows = []
     for station in range(station_base, station_base + profile.node_count):
         rng = _station_rng(seed, scope, station)
-        if kind == "periodic":
+        if periodic:
             releases = range(0, horizon, profile.period_us)
         else:
             releases = _poisson_releases(rng, mean_us, horizon)
@@ -136,40 +141,6 @@ def _poisson_releases(rng, mean_us, horizon):
         if release >= horizon:
             return
         yield release
-
-
-def _jobs(profile, rows) -> list[Job]:
-    return [Job(id=i, station=station, release=release, deadline_abs=deadline,
-                profit=profile.profit, size=size, app=profile.name)
-            for i, (release, station, deadline, size) in enumerate(rows)]
-
-
-def generate_periodic(
-    profile: ApplicationProfile,
-    horizon: int,
-    seed: int = 0,
-    station_base: int = 0,
-) -> list[Job]:
-    """Periodic arrivals: one packet per station every ``period_us``.
-
-    Stations are synchronized (every one releases at 0, the adversarial
-    case); the seed draws only the packet sizes. Releases are strictly
-    inside [0, horizon); deadlines are clipped to the horizon.
-    """
-    return _jobs(profile, _arrivals(profile, "periodic", horizon, seed, station_base,
-                                    profile.name))
-
-
-def generate_poisson(
-    profile: ApplicationProfile,
-    horizon: int,
-    seed: int,
-    station_base: int = 0,
-) -> list[Job]:
-    """Poisson arrivals: per-station exponential inter-arrival times with
-    mean ``1e6 / gen_rate`` us, floored to the 1 us grid."""
-    return _jobs(profile, _arrivals(profile, "poisson", horizon, seed, station_base,
-                                    profile.name))
 
 
 # Use-case tables: (name, gen rate pkts/s, size or (min, max) bytes,
@@ -244,7 +215,7 @@ def load_use_case(use_case: str, horizon: int, seed: int) -> JobSet:
     rows = []
     owner = []  # station -> profile
     for p in profiles:
-        rows += _arrivals(p, p.arrival_kind, horizon, seed, len(owner), f"{use_case}:{p.name}")
+        rows += _arrivals(p, horizon, seed, len(owner), f"{use_case}:{p.name}")
         owner += [p] * p.node_count
     rows.sort(key=lambda r: (r[0], r[1], r[2]))  # stable: ties keep table order
     jobs = tuple(

@@ -33,19 +33,19 @@ def slotted_jobset(apps: list[SlottedApp], horizon_slots: int) -> JobSet:
     horizon_us = horizon_slots * SLOT_US
     jobs = []
     max_profit = max(a.profit for a in apps)
-    station_base = {}
+    station_base = []
     base = 0
     for app in apps:
-        station_base[app.name] = base
+        station_base.append(base)
         base += app.node_count
     for slot in range(horizon_slots):
-        for app in apps:
+        for app, first_station in zip(apps, station_base):
             if slot % app.period_slots:
                 continue
             for node in range(app.node_count):
                 deadline = min((slot + app.deadline_slots + 1) * SLOT_US, horizon_us)
                 jobs.append(Job(
-                    id=len(jobs), station=station_base[app.name] + node,
+                    id=len(jobs), station=first_station + node,
                     release=slot * SLOT_US, deadline_abs=deadline,
                     profit=app.profit, size=app.size,
                     critical=app.profit == max_profit, app=app.name,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ofdmasched import experiment
 from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
 from ofdmasched.phy import PhyProfile
@@ -28,7 +29,10 @@ def test_run_writes_all_artifacts(tmp_path):
     assert lines[0] == CSV_HEADER
     js = load_use_case("UC4", 50_000, seed=1)
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["use_case"] == "UC4"
+    # the echo's keys, in order; out_dir and force are left out
+    assert list(report["config"].items()) == [
+        ("use_case", "UC4"), ("scheduler", "lsds"), ("bandwidth_mhz", 40), ("channel", "ideal"),
+        ("seed", 1), ("horizon_us", 50_000), ("txop_us", 4_000), ("grid_us", None), ("reps", 1)]
     assert len(report["delivered"]) + len(report["dropped"]) == len(js)
 
     # schedule round-trips through the text format and still validates
@@ -181,6 +185,46 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     row = (out / "metrics.csv").read_text().splitlines()[1]
     assert row.split(",")[1] == "lrf"  # flag beat the file
+
+
+@pytest.mark.parametrize("key,value", [("horizon_us", "20000"), ("reps", 2.0), ("seed", 1.5),
+                                       ("grid_us", True), ("force", 1), ("seed", True)])
+def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"use_case": "UC4", "scheduler": "edf", "horizon_us": 20_000,
+                               key: value}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {key} must be of type " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "error: cannot read config file"),
+    ("{", "error: Expecting property name"),
+    ("[1]", "error: the config file must hold a JSON object"),
+])
+def test_cli_rejects_an_unreadable_config_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "exp.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--use-case", "UC4", "--scheduler", "edf"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_compare_loads_the_job_set_once(monkeypatch):
+    configs = [ExperimentConfig("UC4", s, seed=3, horizon_us=20_000)
+               for s in ("lsds", "edf", "nlrf")]
+    alone = [drop_runtime(run(c).csv()) for c in configs]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return load_use_case(*args)
+
+    monkeypatch.setattr(experiment, "load_use_case", counting)
+    _, rows = compare(configs)
+    assert calls == [("UC4", 20_000, 3)]
+    assert [drop_runtime(r.csv()) for r in rows] == alone
 
 
 def test_cli_subprocess_entry_point():

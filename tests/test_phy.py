@@ -102,7 +102,7 @@ def test_configurations_respect_table_and_budget():
         table = MAX_RU_COUNTS[width]
         budget = root_tones(width)
         for config in enumerate_configurations(width):
-            assert config.total_tones <= budget
+            assert sum(n * tone for n, tone in zip(config.counts, TONES)) <= budget
             assert all(n <= most for n, most in zip(config.counts, table))
 
 

@@ -1,5 +1,6 @@
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,10 @@ def test_oracles_are_not_in_the_package():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert not hasattr(ofdmasched, "brute_force_optimal")
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(ofdmasched.__path__)])
+def test_every_export_exists(name):
+    module = importlib.import_module(f"ofdmasched.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

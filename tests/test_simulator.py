@@ -141,6 +141,15 @@ def _machine_out_of_range(js, batches):
         f"machine index: batch 0 machine {m} out of range"
 
 
+def _other_phy(js, batches):
+    """One assigned RU on MCS 0 in a schedule validated at MCS 11."""
+    b = batches[0]
+    m = b.assignments[0][1]
+    machines = list(b.machines)
+    machines[m] = replace(machines[m], phy=PhyProfile(mcs=0))
+    return 0, replace(b, machines=tuple(machines)), f"phy: batch 0 machine {m} runs"
+
+
 def _unknown_job(js, batches):
     b = batches[0]
     unknown = max(j.id for j in js.jobs) + 1
@@ -150,13 +159,24 @@ def _unknown_job(js, batches):
 
 
 @pytest.mark.parametrize("mutate", [_narrower_ru, _over_budget, _machines_disagree,
-                                    _other_width, _machine_out_of_range, _unknown_job])
+                                    _other_width, _machine_out_of_range, _unknown_job,
+                                    _other_phy])
 def test_validator_names_each_mutation(uc4_batches, mutate):
     js, batches = uc4_batches
     i, mutated, expected = mutate(js, batches)
     violations = validate_schedule(batches[:i] + [mutated] + batches[i + 1:],
                                    js, 40, PHY, 4_000)
     assert any(v.startswith(expected) for v in violations), violations
+
+
+def test_validator_checks_every_ru_against_the_channel_phy():
+    # the ideal-channel schedule does not fit a very poor channel, whose
+    # durations at MCS 0 are many times longer
+    js = load_use_case("UC4", 50_000, seed=1)
+    schedule = lsds(js, 40, PHY)
+    violations = validate_schedule(schedule, js, 40, ChannelScenario("very_poor").phy(), 4_000)
+    phy_violations = [v for v in violations if v.startswith("phy: ")]
+    assert len(phy_violations) == sum(len(b.assignments) for b in schedule.batches)
 
 
 def test_channel_scenario_map_validation():

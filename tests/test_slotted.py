@@ -16,11 +16,10 @@ from ofdmasched.simulator import validate_schedule
 from ofdmasched.slotted import (
     SLOT_US,
     SlottedApp,
-    slotted_apps_from_profiles,
     slotted_jobset,
     slotted_schedule,
 )
-from ofdmasched.workload import ApplicationProfile, dump_jobs
+from ofdmasched.workload import dump_jobs
 
 from oracles import slotted as oracle
 from oracles.exhaustive import brute_force_optimal
@@ -123,20 +122,18 @@ def test_oversized_packet_rejected():
         slotted_schedule(apps, TWO_242, 2)
 
 
-def test_profile_conversion_requires_slot_alignment():
-    ok = ApplicationProfile("fine", 500, 64, 64, 1_000, 5, 2)  # period 2 ms
-    bad = ApplicationProfile("off", 937.5, 64, 64, 1_000, 5, 2)  # 1067 us
-    apps = slotted_apps_from_profiles([ok])
-    assert apps[0].period_slots == 2 and apps[0].deadline_slots == 1
-    with pytest.raises(ValueError):
-        slotted_apps_from_profiles([ok, bad])
-
-
 def test_jobset_shape():
     jobs = slotted_jobset(DEVIATION_APPS, 4)
     assert len(jobs) == 6  # three apps, arrivals at slots 0 and 2
     assert {j.release for j in jobs.jobs} == {0, 2_000}
     assert all(j.deadline_abs <= jobs.horizon for j in jobs.jobs)
+
+
+def test_apps_sharing_a_name_get_their_own_stations():
+    apps = [SlottedApp("a", 2, 50, 1, 1.0, 2), SlottedApp("a", 2, 50, 1, 1.0, 3)]
+    jobs = slotted_jobset(apps, 1)
+    assert [j.station for j in jobs.jobs] == [0, 1, 2, 3, 4]
+    assert dump_jobs(jobs) == dump_jobs(oracle.slotted_jobset(apps, 1))
 
 
 def window_graph_optimum(apps, config, horizon_slots):

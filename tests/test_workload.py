@@ -9,9 +9,8 @@ from ofdmasched.workload import (
     ApplicationProfile,
     Job,
     JobSet,
+    _arrivals,
     dump_jobs,
-    generate_periodic,
-    generate_poisson,
     load_use_case,
     parse_jobs,
     use_case_profiles,
@@ -20,21 +19,25 @@ from ofdmasched.workload import (
 HORIZON = 200_000
 
 
+def arrivals(profile, horizon=HORIZON, seed=0):
+    """``(release, station, deadline_abs, size)`` rows of one profile's stations."""
+    return _arrivals(profile, horizon, seed, 0, profile.name)
+
+
 def test_uc2_control_traffic_single_station_count():
     profile = ApplicationProfile("ctl", 937.5, 100, 100, 16_000, 160, 1)
-    jobs = generate_periodic(profile, HORIZON)
+    rows = arrivals(profile)
     # period rounds to 1067 us; ceil(200000 / 1067) releases inside the horizon
     assert profile.period_us == 1067
-    assert len(jobs) == 188
-    assert all(j.deadline_abs == min(j.release + 16_000, HORIZON) for j in jobs)
+    assert len(rows) == 188
+    assert all(deadline == min(release + 16_000, HORIZON) for release, _, deadline, _ in rows)
 
 
 def test_period_longer_than_horizon_gives_single_job():
     profile = ApplicationProfile("slow", 0.02, 30, 30, 1_000_000, 50, 1)
-    jobs = generate_periodic(profile, HORIZON)
-    assert len(jobs) == 1
-    assert jobs[0].release == 0
-    assert jobs[0].deadline_abs == HORIZON  # clipped
+    (release, _, deadline, _), = arrivals(profile)
+    assert release == 0
+    assert deadline == HORIZON  # clipped
 
 
 def test_uc1_total_count_matches_enumeration():
@@ -48,24 +51,23 @@ def test_uc1_total_count_matches_enumeration():
 def test_poisson_mean_count_within_3_sigma():
     profile = ApplicationProfile("fast", 40_000, 50, 50, 1_000, 30, 1,
                                  arrival_kind="poisson")
-    jobs = generate_poisson(profile, HORIZON, seed=11)
+    rows = arrivals(profile, seed=11)
     mean = 40_000 * HORIZON / 1e6
-    assert abs(len(jobs) - mean) <= 3 * math.sqrt(mean)
+    assert abs(len(rows) - mean) <= 3 * math.sqrt(mean)
 
 
 def test_poisson_low_rate_limit():
     profile = ApplicationProfile("rare", 1.0, 50, 50, 1_000, 5, 1,
                                  arrival_kind="poisson")
-    jobs = generate_poisson(profile, HORIZON, seed=2)
-    assert len(jobs) <= 1
+    assert len(arrivals(profile, seed=2)) <= 1
 
 
 def test_poisson_deterministic_per_seed():
     profile = ApplicationProfile("p", 5_000, 50, 50, 1_000, 5, 3,
                                  arrival_kind="poisson")
-    a = generate_poisson(profile, HORIZON, seed=5)
-    b = generate_poisson(profile, HORIZON, seed=5)
-    c = generate_poisson(profile, HORIZON, seed=6)
+    a = arrivals(profile, seed=5)
+    b = arrivals(profile, seed=5)
+    c = arrivals(profile, seed=6)
     assert a == b
     assert a != c
 
@@ -161,7 +163,7 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         ApplicationProfile("bad", 0, 10, 10, 1_000, 1, 1)
     with pytest.raises(ValueError):
-        generate_periodic(ApplicationProfile("bad", 2e6, 10, 10, 1_000, 1, 1), HORIZON)
+        arrivals(ApplicationProfile("bad", 2e6, 10, 10, 1_000, 1, 1))
     with pytest.raises(ValueError):
         load_use_case("UC9", HORIZON, seed=0)
 
