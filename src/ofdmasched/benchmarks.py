@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phy import PhyProfile, class_durations, config_table
-from .scheduling import Batch, Interval, Schedule, make_schedule
+from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, make_schedule
 from .workload import JobSet
 
 __all__ = ["BENCHMARK_KINDS", "greedy_benchmark"]
@@ -97,7 +97,7 @@ def greedy_benchmark(
     jobs: JobSet,
     channel_width: int,
     phy: PhyProfile | None = None,
-    txop: int = 4_000,
+    txop: int = DEFAULT_TXOP_US,
 ) -> Schedule:
     """Round-based station-sorting scheduler (EDF, LRF or NLRF)."""
     if kind not in BENCHMARK_KINDS:

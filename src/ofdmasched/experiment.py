@@ -19,9 +19,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .local_search import DEFAULT_TXOP_US, default_grid_us
+from .local_search import default_grid_us
 from .phy import CHANNEL_WIDTHS
-from .scheduling import Schedule, dump_schedule
+from .scheduling import DEFAULT_TXOP_US, Schedule, dump_schedule
 from .simulator import (
     CHANNEL_QUALITIES,
     ChannelScenario,

@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 from .phy import Machine, PhyProfile, RuConfiguration, config_table, configuration_index
 
-__all__ = ["Interval", "Batch", "Schedule", "conflicts", "dump_schedule", "parse_schedule"]
+__all__ = ["Interval", "Batch", "Schedule", "conflicts", "dump_schedule", "parse_schedule",
+           "DEFAULT_TXOP_US"]
+
+# the longest batch every scheduler allows unless told otherwise
+DEFAULT_TXOP_US = 4_000
 
 
 @dataclass(frozen=True, order=True)

@@ -35,7 +35,7 @@ from .phy import (
     root_tones,
     tx_duration,
 )
-from .scheduling import Batch, Interval, Schedule, conflicts, make_schedule
+from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, conflicts, make_schedule
 from .workload import Job, JobSet
 
 __all__ = [
@@ -194,7 +194,7 @@ def run_scenario(
     scheduler: str,
     scenario: ChannelScenario,
     channel_width: int,
-    txop: int = 4_000,
+    txop: int = DEFAULT_TXOP_US,
     grid_us: int | None = None,
 ) -> tuple[SimulationReport, Schedule]:
     """Run one scheduler under a channel scenario and tally the outcome.
@@ -286,7 +286,7 @@ def best_effort_overlay(
     be_packets: list[BestEffortPacket],
     channel_width: int,
     phy: PhyProfile | None = None,
-    txop: int = 4_000,
+    txop: int = DEFAULT_TXOP_US,
 ) -> tuple[Schedule, float, float]:
     """Admit best-effort packets onto the factory schedule's spare capacity.
 

@@ -70,6 +70,8 @@ class SlottedApp:
     node_count: int = 1
 
     def __post_init__(self):
+        if self.node_count < 1:
+            raise ValueError(f"app {self.name!r}: node_count must be >= 1, got {self.node_count}")
         if self.period_slots < 1:
             raise ValueError("period must be at least one slot")
         if not 0 <= self.deadline_slots < self.period_slots:
@@ -115,9 +117,8 @@ def _runs(apps: list[SlottedApp], horizon_slots: int) -> tuple[list[_Run], JobSe
     per_app = []
     station = 0  # an app's stations follow those of the apps before it
     for app in apps:
-        if app.node_count > 0:
-            per_app.append((app, station, (app.deadline_slots + 1) * SLOT_US,
-                            app.profit == max_profit))
+        per_app.append((app, station, (app.deadline_slots + 1) * SLOT_US,
+                        app.profit == max_profit))
         station += app.node_count
     runs, jobs = [], []
     for slot in range(horizon_slots):

@@ -19,6 +19,7 @@ from ofdmasched.local_search import (
     lsdsf_run,
 )
 from ofdmasched.phy import (
+    TONE_CLASSES,
     Machine,
     PhyProfile,
     RuToneClass,
@@ -322,16 +323,18 @@ def config_search_cases(draw):
         st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=60, unique=True),
     ))
     counts = counts[sorted(rows)]
-    most = int(_suffix(counts).max())
+    return draw_items(draw, n_classes, int(_suffix(counts).max())), counts
+
+
+def draw_items(draw, n_classes, most):
+    """Up to 10 items in descending profit over ``n_classes`` classes."""
     # few distinct integral profits make ties between rows common
     profit = st.one_of(st.integers(1, 20).map(float),
                        st.floats(0.01, 60.0, allow_nan=False, allow_infinity=False))
     count = st.one_of(st.integers(1, 4), st.integers(1, most + 8))
     drawn = draw(st.lists(st.tuples(profit, st.integers(0, n_classes - 1), count),
                           min_size=1, max_size=10))
-    items = [(p, c, n, i) for i, (p, c, n) in
-             enumerate(sorted(drawn, key=lambda t: -t[0]))]
-    return items, counts
+    return [(p, c, n, i) for i, (p, c, n) in enumerate(sorted(drawn, key=lambda t: -t[0]))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,23 +348,59 @@ def test_config_search_equals_plain_argmax_over_all_rows(case):
     assert _config_search(items, value, suffix_rows) == (want, float(values[want]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([20, 40, 80, 160]))
+def test_best_row_is_the_first_best_row_of_the_whole_table(data, width):
+    # the engine searches only the first row of each distinct projection
+    # onto the items' classes; it must pick the row a plain scan would
+    table = config_table(width)
+    engine = local_search._Engine(JobSet(jobs=(), horizon=16, seed=0), 16, 16, PHY0,
+                                  TONE_CLASSES, table.configs, table.counts, table.machines)
+    rows = engine.cfg_suffix
+    items = draw_items(data.draw, rows.shape[1], int(rows.max()))
+    values = _eval_configs(items, rows)
+    want = int(np.argmax(values == values.max()))
+    assert engine._best_row(items, _greedy(items, engine.suffix_caps)[0]) \
+        == (want, float(values[want]))
+
+
 @pytest.mark.parametrize("use_case, width, horizon, txop",
                          [("UC3", 160, 2_000, 500), ("UC2", 40, 10_000, DEFAULT_TXOP_US)])
 def test_config_search_memo_hits_and_is_exact(monkeypatch, use_case, width, horizon, txop):
     jobs = load_use_case(use_case, horizon, seed=1)
+    counts = config_table(width).counts
+    table = _suffix(counts[:, counts.any(axis=0)])
     computed = []
+
+    def first_best(items, rows):
+        values = _eval_configs(items, rows)
+        return int(np.argmax(values == values.max())), values.max()
 
     def checked(items, value, suffix_rows):
         got = _config_search(items, value, suffix_rows)
-        values = _eval_configs(items, suffix_rows)
-        want = int(np.argmax(values == values.max()))  # first row of best value
-        assert got == (want, float(values[want]))
-        computed.append(got)
+        want, best = first_best(items, suffix_rows)
+        assert got == (want, float(best))
+        # the rows handed are some of the table's; their winner must be the
+        # first row of best value in the whole table
+        row, table_best = first_best(items, table)
+        assert got[1] == float(table_best)
+        assert (suffix_rows[got[0]] == table[row]).all()
+        computed.append(len(suffix_rows))
         return got
 
+    best_row = local_search._Engine._best_row
+
+    def mapped(self, takes1, value1):
+        found = best_row(self, takes1, value1)
+        row, best = first_best(takes1, table)
+        assert found == (row, float(best))
+        return found
+
     monkeypatch.setattr(local_search, "_config_search", checked)
+    monkeypatch.setattr(local_search._Engine, "_best_row", mapped)
     schedule, first = lsds_run(jobs, width, txop=txop, grid_us=16)
     assert first.config_searches > first.config_searches_computed == len(computed) > 0
+    assert first.config_rows == sum(computed) < len(computed) * len(table)
     # a second run on the same input starts with an empty memo
     _, second = lsds_run(jobs, width, txop=txop, grid_us=16)
     assert second.config_searches_computed == first.config_searches_computed
@@ -467,18 +506,25 @@ def test_lsds_within_twelve_of_optimum(jobset, txop_units):
 
 
 def checking_tighten(chunks):
-    """``_Engine._tighten`` that checks each chunk against the scalar path
-    at the moment it is computed, and records the chunk sizes."""
+    """``_Engine._tighten`` that checks each chunk's values and conflict
+    weights against the scalar path at the moment it is computed, and
+    records the chunk sizes."""
     tighten = local_search._Engine._tighten
 
     def checked(self, chunk, length):
         values, keep = tighten(self, chunk, length)
-        for idx, value, kept in zip(chunk.tolist(), values.tolist(), keep.tolist()):
+        t1v = chunk * self.grid
+        # the vector conflict weights are the scalar sums, up to rounding
+        weights = self._conflict_weight_vector(t1v, t1v + length).tolist()
+        for idx, value, kept, weight in zip(chunk.tolist(), values.tolist(), keep.tolist(),
+                                            weights):
             t1 = idx * self.grid
             exact = _greedy(self._items_for(t1, t1 + length), self.suffix_caps)[0]
             assert value == pytest.approx(exact, rel=1e-9, abs=0)
+            lo, hi = self._conflict_range(t1, t1 + length)
+            assert weight == pytest.approx(sum(self.weights[lo:hi]), rel=1e-9,
+                                           abs=1e-9 * sum(self.weights))
             if not kept:
-                lo, hi = self._conflict_range(t1, t1 + length)
                 assert exact <= 2.0 * sum(self.weights[lo:hi])
         chunks.append(len(chunk))
         return values, keep
@@ -487,22 +533,30 @@ def checking_tighten(chunks):
 
 
 @st.composite
-def crowded_instances(draw):
+def crowded_instances(draw, distinct_profits=False):
     """Up to 40 jobs over up to 150 grid steps of 16 us, released off the
     grid within a drawn spread, so that some intervals admit more jobs than
     fit and some jobs are released inside an interval. Profits
     come from a few values that do not add exactly in binary, so groups
     share profit levels and the vector sums round unlike the scalar ones;
-    sweeps reach a second chunk and evictions happen."""
+    sweeps reach a second chunk and evictions happen.
+
+    With ``distinct_profits`` each job's profit is a distinct power of two
+    instead, so every exact solver picks the same job sets and sums them
+    exactly, and the reference trajectory can be compared."""
     steps = draw(st.integers(1, 150))
     spread = draw(st.integers(0, steps - 1))
+    n = draw(st.integers(1, 40))
+    exps = draw(st.lists(st.integers(0, 45), min_size=n, max_size=n, unique=True)) \
+        if distinct_profits else None
     jobs = []
-    for i in range(draw(st.integers(1, 40))):
+    for i in range(n):
         release = draw(st.integers(0, 16 * spread))
-        jobs.append(Job(id=i, station=i, release=release,
-                        deadline_abs=release + draw(st.integers(1, 200)),
-                        profit=draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.7, 7.0])),
-                        size=draw(st.integers(1, 400))))
+        deadline = release + draw(st.integers(1, 200))
+        profit = float(2 ** exps[i]) if distinct_profits else \
+            draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.7, 7.0]))
+        jobs.append(Job(id=i, station=i, release=release, deadline_abs=deadline,
+                        profit=profit, size=draw(st.integers(1, 400))))
     return JobSet(jobs=tuple(jobs), horizon=16 * steps, seed=0)
 
 
@@ -532,6 +586,48 @@ def test_tightened_values_are_the_scalar_greedy_values(jobset, txop_units, sched
     assert stats.bound_rejects + stats.exact_evaluations <= sum(chunks) <= stats.sweep_survivors
 
 
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(crowded_instances().map(lambda jobset: (jobset, False)),
+                 crowded_instances(distinct_profits=True).map(lambda jobset: (jobset, True))),
+       st.integers(1, 6), st.sampled_from(["lsds20", "lsds40", "lsdsf"]))
+def test_restart_blocks_keep_the_trajectory(case, txop_units, scheduler):
+    # blocks of 1 and 3 starts take small instances through several blocks
+    # after an eviction; every block size must give the same commits
+    jobset, distinct = case
+    txop = 16 * txop_units
+    machines = [machine(RuToneClass.RU26, 0), machine(RuToneClass.RU106, 1)]
+
+    def run():
+        if scheduler == "lsdsf":
+            return lsdsf_run(jobset, machines, txop=txop, grid_us=16)
+        return lsds_run(jobset, int(scheduler[4:]), PHY0, txop=txop, grid_us=16)
+
+    def trajectory(stats):
+        # sweep survivors and exact evaluations may differ: a later block
+        # is bounded after more commits
+        return (stats.candidate_intervals, stats.commits, stats.evictions, stats.restarts,
+                stats.commit_log)
+
+    schedule, stats = run()
+    for block in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local_search, "_BLOCK", block)
+            small_schedule, small_stats = run()
+        assert small_schedule == schedule
+        assert trajectory(small_stats) == trajectory(stats)
+    if not distinct:
+        return  # equal profits let exact solvers pick different job sets
+    log = []
+    if scheduler == "lsdsf":
+        committed, scheduled = reference_lsdsf(jobset, machines, txop=txop, grid_us=16, log=log)
+    else:
+        committed, scheduled = reference_lsds(jobset, int(scheduler[4:]), PHY0, txop=txop,
+                                              grid_us=16, log=log)
+        assert {(b.interval.start, b.interval.end): b.config.counts for b in schedule.batches} \
+            == {(c[0].start, c[0].end): c[3].counts for c in committed}
+    assert_same_trajectory(schedule, stats, committed, scheduled, log)
+
+
 def test_tightened_values_through_evictions_and_chunks():
     # UC3 at 160 MHz evicts and sweeps past the first chunk
     chunks = []
@@ -554,3 +650,5 @@ def test_engine_counters_repeat_and_add_up(use_case, width, horizon, txop):
     assert first == second
     assert first.bound_rejects + first.exact_evaluations <= first.sweep_survivors
     assert first.config_searches <= first.exact_evaluations
+    assert first.restarts <= first.evictions
+    assert first.config_rows <= first.config_searches_computed * len(config_table(160).counts)

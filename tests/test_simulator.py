@@ -1,8 +1,9 @@
+import inspect
 from dataclasses import replace
 
 import pytest
 
-from ofdmasched import simulator
+from ofdmasched import benchmarks, local_search, scheduling, simulator
 from ofdmasched.local_search import lsds
 from ofdmasched.phy import (
     Machine,
@@ -359,3 +360,12 @@ def test_overlay_rejects_packet_arriving_at_or_after_horizon(arrival):
     packets = [BestEffortPacket(0, 500, 300, 2.0), BestEffortPacket(7, arrival, 300, 2.0)]
     with pytest.raises(ValueError, match=f"packet 7 arrives at {arrival} us"):
         best_effort_overlay(base, js, packets, 20, PHY)
+
+
+def test_txop_defaults_are_the_one_constant():
+    # the library entry points take their default TXOP from scheduling, as
+    # ExperimentConfig does, so one constant sets it everywhere
+    assert local_search.DEFAULT_TXOP_US is scheduling.DEFAULT_TXOP_US
+    for fn in (benchmarks.greedy_benchmark, simulator.run_scenario,
+               simulator.best_effort_overlay, local_search.lsds_run, local_search.lsdsf_run):
+        assert inspect.signature(fn).parameters["txop"].default is scheduling.DEFAULT_TXOP_US

@@ -136,6 +136,15 @@ def test_apps_sharing_a_name_get_their_own_stations():
     assert dump_jobs(jobs) == dump_jobs(oracle.slotted_jobset(apps, 1))
 
 
+@pytest.mark.parametrize("node_count", [0, -1])
+def test_app_without_nodes_rejected(node_count):
+    # a negative count used to shift every later app's stations: app b's
+    # packets went to stations -1 and 0
+    with pytest.raises(ValueError, match="app 'a'.*node_count"):
+        slotted_jobset([SlottedApp("a", 2, 50, 1, 1.0, node_count),
+                        SlottedApp("b", 2, 50, 1, 1.0, 2)], 1)
+
+
 def window_graph_optimum(apps, config, horizon_slots):
     """Hungarian optimum of the full (slot, RU) graph of one window."""
     j_rus = sum(config.counts)
