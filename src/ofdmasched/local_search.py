@@ -20,20 +20,17 @@ as one row, and ``lsds_config_search`` the channel's configuration
 table for a gap fill. The tests check both against the Hungarian oracle
 in ``tests/oracles/matching.py``.
 
-A configuration table has up to 1827 rows (160 MHz), but what decides a
-row's greedy value is only its suffix capacities clipped at the demand of
-the items they bind. ``_config_search`` bounds every row, then evaluates
-one row per class of equal clipped capacities; the first row among the
-classes of best value wins, the same row a plain scan would pick. The
-search reads its items only through ``(profit, c_min, count)``, and the
-engine's rows are fixed for a run, so the engine searches each such
-signature once and answers repeats from a memo that lives for one run.
-Nor does a row's value depend on columns no item binds: ``_greedy``'s
-room is smallest at some item's ``c_min`` column. So for each set of
-``c_min`` classes the engine keeps the first table row of each distinct
-projection onto those columns (at 160 MHz, 898 rows on classes {0, 1},
-81 on {2, 3}), searches only those and maps the winner back to its table
-row, which is the first row of best value in the whole table.
+A configuration table has up to 1827 rows (160 MHz), but a row's greedy
+value does not depend on columns no item binds: ``_greedy``'s room is
+smallest at some item's ``c_min`` column. So for each set of ``c_min``
+classes the engine keeps the first table row of each distinct projection
+onto those columns (at 160 MHz, 898 rows on classes {0, 1}, 81 on
+{2, 3}). ``_config_search`` evaluates those rows and returns the first of
+best value, which maps back to the first row of best value in the whole
+table. The search reads its items only through ``(profit, c_min,
+count)``, and the rows are fixed for a run, so the engine searches each
+such signature once and answers repeats from a memo that lives for one
+run.
 
 Committed batches are pairwise disjoint, so sorted by start they are
 sorted by end too; the engine keeps their starts, ends and weights in
@@ -128,7 +125,7 @@ class LocalSearchStats:
     sweep_survivors: int = 0            # starts that passed ``_sweep``'s bound
     bound_rejects: int = 0              # of those, starts ``_relaxed`` dropped
     exact_evaluations: int = 0          # ``_items_for`` calls
-    config_rows: int = 0                # table rows handed to the computed searches
+    config_rows: int = 0                # table rows the computed searches evaluated
     commits: int = 0
     evictions: int = 0
     restarts: int = 0                   # sweeps restarted by an eviction
@@ -181,56 +178,15 @@ def _eval_configs(items, suffix_rows):
     return values
 
 
-def _config_search(items, value, suffix_rows):
-    """Row of ``suffix_rows`` with the highest greedy value of ``items``,
-    the first such row on ties, and that value; ``value`` is the items'
-    greedy value under capacities no row exceeds.
-
-    Entry k of a row binds only items with ``c_min >= k``, which take at
-    most ``D_k`` (their total count) from it, so clipping it at ``D_k``
-    leaves every take of ``_greedy`` unchanged. Rows with equal clipped
-    vectors form one class: they take the same items in the same order, so
-    their values are bit-identical and one row per class is evaluated. The
-    winner is the smallest first row among the classes of best value,
-    which is the first row of best value.
-
-    The result depends on the items only through ``(profit, c_min,
-    count)`` in order: ``ref`` is never read, and ``value`` is used only
-    when there is a single row, where it is the items' own greedy value.
-    So ``_Engine._best_row`` memoizes it by that signature for one run.
+def _config_search(items, suffix_rows):
+    """First row of ``suffix_rows`` of best greedy value for ``items``, and
+    that value, bit-identical to ``_greedy``'s: ``_eval_configs`` adds the
+    same products in the same order. ``ref`` is never read, so
+    ``_Engine._best_row`` memoizes the result by ``(profit, c_min, count)``.
     """
-    if len(suffix_rows) == 1 or not items:
-        return 0, value
-    counts = np.array([t[2] for t in items], dtype=np.int64)
-    profits = np.array([t[0] for t in items])
-    cum_counts = np.concatenate(([0], np.cumsum(counts)))
-    cum_profit = np.concatenate(([0.0], np.cumsum(profits * counts)))
-    total = int(cum_counts[-1])
-
-    # the best ``k`` items bound a row with ``k`` RUs; evaluate the row with
-    # the highest bound, then only the rows whose bound reaches its value
-    k = np.minimum(suffix_rows[:, 0], total)
-    idx = cum_counts.searchsorted(k, side="left")
-    bound = cum_profit[idx] - (cum_counts[idx] - k) * np.where(idx > 0, profits[np.maximum(idx - 1, 0)], 0.0)
-
-    first = int(np.argmax(bound))
-    v0 = _eval_configs(items, suffix_rows[first: first + 1])[0]
-    # bound and value sum in different orders, so allow for rounding
-    cand = np.nonzero(bound >= v0 - 1e-9 * v0)[0]
-    rows = suffix_rows[cand]
-
-    demand = [0] * suffix_rows.shape[1]
-    for _, c, count, _ in items:
-        demand[c] += count
-    # capped at the column maxima, the mixed-radix key stays below
-    # prod(max + 1), far inside int64 for any channel's RU counts
-    cap = np.minimum(_suffix(np.array(demand, dtype=np.int64)), rows.max(axis=0))
-    radix = np.concatenate(([1], np.cumprod(cap[:-1] + 1)))
-    _, first_of_class = np.unique(np.minimum(rows, cap) @ radix, return_index=True)
-    values = _eval_configs(items, rows[first_of_class])
-    best = float(values.max())
-    winner = int(cand[first_of_class[values == best].min()])
-    return winner, best
+    values = _eval_configs(items, suffix_rows)
+    row = int(np.argmax(values))
+    return row, float(values[row])
 
 
 def pick_jobs(
@@ -265,8 +221,8 @@ def pick_jobs(
 
     # prune under the most RUs of each class, then search the rows
     suffix_rows = _suffix(counts)
-    value, pruned = _greedy(items, _suffix(counts.max(axis=0)))
-    row, _ = _config_search(pruned, value, suffix_rows)
+    _, pruned = _greedy(items, _suffix(counts.max(axis=0)))
+    row, _ = _config_search(pruned, suffix_rows)
     _, takes = _greedy(pruned, suffix_rows[row])
     placed = sorted(((c, job) for _, c, take, jobs in takes for job in jobs[:take]),
                     key=lambda cj: (-cj[0], cj[1].id))
@@ -628,15 +584,11 @@ class _Engine:
             self.stats.bound_rejects += len(chunk) - len(kept)
             yield from kept.tolist()
 
-    def _best_row(self, takes1, value1):
-        """The first table row of best greedy value for ``takes1`` (whose
-        value under ``suffix_caps`` is ``value1``) and that value, memoized
-        by signature.
-
-        A row's value depends only on its suffix capacities at the takes'
-        ``c_min`` columns (``_greedy``'s ``room`` attains its minimum at one
-        of them), so only the first row of each distinct projection onto
-        those columns is searched.
+    def _best_row(self, takes1):
+        """The first table row of best greedy value for ``takes1`` and that
+        value, memoized by signature. Only the first row of each distinct
+        projection onto the takes' ``c_min`` columns is evaluated: a row's
+        value depends on no other column.
         """
         key = tuple(t[:3] for t in takes1)
         found = self.searched.get(key)
@@ -646,10 +598,8 @@ class _Engine:
             if rows is None:
                 _, first = np.unique(self.cfg_suffix[:, cols], axis=0, return_index=True)
                 rows = self.class_rows[cols] = np.sort(first)
-            winner = int(rows[_config_search(takes1, value1, self.cfg_suffix[rows])[0]])
-            # the value from _greedy, which sums the products _eval_configs
-            # sums in the same order: a one-row search returns value1 instead
-            found = self.searched[key] = (winner, _greedy(takes1, self.cfg_suffix[winner])[0])
+            i, value = _config_search(takes1, self.cfg_suffix[rows])
+            found = self.searched[key] = (int(rows[i]), value)
             self.stats.config_searches_computed += 1
             self.stats.config_rows += len(rows)
         self.stats.config_searches += 1
@@ -673,7 +623,7 @@ class _Engine:
             value1, takes1 = _greedy(items, self.suffix_caps)
             if value1 <= 2.0 * conflict_w:
                 continue
-            winner, value = self._best_row(takes1, value1)
+            winner, value = self._best_row(takes1)
             if value <= 2.0 * conflict_w:
                 continue
             _, takes = _greedy(takes1, self.cfg_suffix[winner])

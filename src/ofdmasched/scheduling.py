@@ -100,6 +100,7 @@ def parse_schedule(
     channel_width: int,
     phy: PhyProfile,
 ) -> Schedule:
+    table = config_table(channel_width)
     rows: dict[int, dict] = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -107,11 +108,14 @@ def parse_schedule(
             continue
         try:
             idx, t1, t2, cfg, job, mach = map(int, line.split())
+            if job not in profit_of:
+                raise ValueError(f"job {job} is not in the job set")
+            if cfg >= len(table.configs):
+                raise ValueError(f"configuration {cfg} is not in the {channel_width} MHz table")
         except ValueError as exc:
             raise ValueError(f"line {number}: {line!r}: {exc}") from None
         entry = rows.setdefault(idx, {"t1": t1, "t2": t2, "cfg": cfg, "pairs": []})
         entry["pairs"].append((job, mach))
-    table = config_table(channel_width)
     batches = []
     for idx in sorted(rows):
         e = rows[idx]

@@ -262,6 +262,10 @@ def generate_best_effort(
 ) -> list[BestEffortPacket]:
     """Poisson best-effort arrivals from ``BEST_EFFORT_NODES`` nodes totalling
     ``mean_load_mbps`` offered load, numbered in arrival order."""
+    if size < 1:
+        raise ValueError(f"best-effort packet size must be at least 1 byte, got {size}")
+    if not math.isfinite(mean_load_mbps):
+        raise ValueError(f"best-effort load must be finite, got {mean_load_mbps} Mbps")
     if mean_load_mbps <= 0:
         return []
     rate_per_node = mean_load_mbps * 1e6 / (size * 8) / BEST_EFFORT_NODES  # packets per second

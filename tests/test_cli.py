@@ -1,16 +1,23 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmasched import experiment
 from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
 from ofdmasched.phy import PhyProfile
+from ofdmasched.phy import CHANNEL_WIDTHS
 from ofdmasched.scheduling import parse_schedule
-from ofdmasched.simulator import scheduler_registry, validate_schedule
-from ofdmasched.workload import load_use_case
+from ofdmasched.simulator import CHANNEL_QUALITIES, scheduler_registry, validate_schedule
+from ofdmasched.workload import USE_CASES, load_use_case
 
 
 def drop_runtime(csv_row):
@@ -262,8 +269,80 @@ def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
     ("0 0 100 0 1 0\n0 0 100 0 2\n", "line 2: '0 0 100 0 2': not enough values to unpack"),
     ("0 0 100 0 1 0 7\n", "line 1: '0 0 100 0 1 0 7': too many values to unpack"),
     ("# header\n0 0 1OO 0 1 0\n", "line 2: '0 0 1OO 0 1 0': invalid literal"),
+    ("0 0 10 0 5 0\n", "line 1: '0 0 10 0 5 0': job 5 is not in the job set"),
+    ("0 0 10 999 1 0\n",
+     "line 1: '0 0 10 999 1 0': configuration 999 is not in the 40 MHz table"),
 ])
 def test_parse_schedule_names_the_bad_line(text, where):
     with pytest.raises(ValueError) as info:
         parse_schedule(text, {1: 1.0, 2: 1.0}, 40, PhyProfile())
     assert str(info.value).startswith(where)
+
+
+# values of every JSON type, for keys that expect another
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2), st.floats(allow_nan=True),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+# per key, valid values in ranges that run fast, and values of the right
+# type that are out of range (None where every value of the type is valid)
+_CONFIG_VALUES = {
+    "use_case": (st.sampled_from(USE_CASES), st.sampled_from(["UC9", "uc4", ""])),
+    "scheduler": (st.sampled_from(tuple(scheduler_registry())),
+                  st.sampled_from(["slotted_optimal", "EDF"])),
+    "bandwidth_mhz": (st.sampled_from(CHANNEL_WIDTHS), st.sampled_from([0, -40, 30])),
+    "channel": (st.sampled_from(CHANNEL_QUALITIES), st.just("bad")),
+    "seed": (st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)), None),
+    "horizon_us": (st.integers(1, 5_000), st.sampled_from([0, -1, -100])),
+    "txop_us": (st.integers(1, 8_000), st.sampled_from([0, -1, -100])),
+    "grid_us": (st.one_of(st.none(), st.integers(16, 2_000)), st.sampled_from([0, -1, -16])),
+    "reps": (st.integers(1, 2), st.sampled_from([0, -1])),
+    "out_dir": (st.sampled_from(["out", "a/b"]), None),
+    "force": (st.booleans(), None),
+}
+
+
+@st.composite
+def config_dicts(draw):
+    """``run --config`` contents: valid values for the required keys, the
+    horizon and some others, then up to two keys dropped, out of range or
+    of any JSON type, and now and then an unknown key. The horizon is never
+    dropped: its default takes seconds to run."""
+    config = {key: draw(valid) for key, (valid, _) in _CONFIG_VALUES.items()
+              if key in ("use_case", "scheduler", "horizon_us") or draw(st.booleans())}
+    # a permutation spreads the spoiled keys evenly
+    for key in draw(st.permutations(list(_CONFIG_VALUES)))[:draw(st.integers(0, 2))]:
+        how = draw(st.sampled_from(["out of range", "absent", "any"]))
+        out_of_range = _CONFIG_VALUES[key][1]
+        if how == "absent" and key != "horizon_us":
+            config.pop(key, None)
+        elif how == "out of range" and out_of_range is not None:
+            config[key] = draw(out_of_range)
+        elif how == "any":
+            config[key] = draw(_ANY_JSON)
+    unknown = draw(st.sampled_from([None] * 36 + ["horizon", "Seed", "", "bandwidth"]))
+    if unknown is not None:
+        config[unknown] = draw(_ANY_JSON)
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=config_dicts())
+def test_cli_config_files_exit_0_or_2_with_an_error(config):
+    # exit 1 is kept for a stage that fails on valid settings, so anything
+    # a config file can say is run or refused with exit 2; main runs in this
+    # process, where an exception it lets out fails the test with the
+    # traceback a shell would show
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(config.get("out_dir"), str):
+            config["out_dir"] = os.path.join(tmp, config["out_dir"])
+        path = os.path.join(tmp, "exp.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path])
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    assert code == 0 or (code == 2 and stderr.startswith("error:")), (config, code, stderr)

@@ -312,8 +312,8 @@ def test_lsds_config_search_matches_hungarian_oracle(width, mcs):
 def config_search_cases(draw):
     """Items over a channel's active classes and a subset of its table rows.
 
-    Counts reach past the table's column maxima, so the class key's radix
-    cap is exercised; profits are integral or fractional.
+    Counts reach past the table's column maxima, so some items run out of
+    room on every row; profits are integral or fractional.
     """
     table = config_table(draw(st.sampled_from([20, 40, 80, 160]))).counts
     counts = table[:, table.any(axis=0)]
@@ -342,10 +342,12 @@ def draw_items(draw, n_classes, most):
 def test_config_search_equals_plain_argmax_over_all_rows(case):
     items, counts = case
     suffix_rows = _suffix(counts)
-    value, _ = _greedy(items, _suffix(counts.max(axis=0)))
-    values = _eval_configs(items, suffix_rows)
-    want = int(np.argmax(values == values.max()))  # first row of best value
-    assert _config_search(items, value, suffix_rows) == (want, float(values[want]))
+    # the vectorized values are _greedy's, bit for bit: the engine stores
+    # the search's value as the committed batch's weight
+    values = [_greedy(items, row)[0] for row in suffix_rows]
+    assert _eval_configs(items, suffix_rows).tolist() == values
+    want = values.index(max(values))  # first row of best value
+    assert _config_search(items, suffix_rows) == (want, values[want])
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,8 +362,7 @@ def test_best_row_is_the_first_best_row_of_the_whole_table(data, width):
     items = draw_items(data.draw, rows.shape[1], int(rows.max()))
     values = _eval_configs(items, rows)
     want = int(np.argmax(values == values.max()))
-    assert engine._best_row(items, _greedy(items, engine.suffix_caps)[0]) \
-        == (want, float(values[want]))
+    assert engine._best_row(items) == (want, _greedy(items, rows[want])[0])
 
 
 @pytest.mark.parametrize("use_case, width, horizon, txop",
@@ -376,8 +377,8 @@ def test_config_search_memo_hits_and_is_exact(monkeypatch, use_case, width, hori
         values = _eval_configs(items, rows)
         return int(np.argmax(values == values.max())), values.max()
 
-    def checked(items, value, suffix_rows):
-        got = _config_search(items, value, suffix_rows)
+    def checked(items, suffix_rows):
+        got = _config_search(items, suffix_rows)
         want, best = first_best(items, suffix_rows)
         assert got == (want, float(best))
         # the rows handed are some of the table's; their winner must be the
@@ -390,8 +391,8 @@ def test_config_search_memo_hits_and_is_exact(monkeypatch, use_case, width, hori
 
     best_row = local_search._Engine._best_row
 
-    def mapped(self, takes1, value1):
-        found = best_row(self, takes1, value1)
+    def mapped(self, takes1):
+        found = best_row(self, takes1)
         row, best = first_best(takes1, table)
         assert found == (row, float(best))
         return found

@@ -236,6 +236,23 @@ def test_overlay_zero_load_convention():
     assert out.batches == schedule.batches
 
 
+@pytest.mark.parametrize("size, load, message", [
+    (0, 20.0, "packet size must be at least 1 byte, got 0"),
+    (-1, 20.0, "packet size must be at least 1 byte, got -1"),
+    (1500, float("inf"), "load must be finite, got inf Mbps"),
+])
+def test_best_effort_rejects_inputs_whose_arrivals_never_end(size, load, message):
+    # a size of -1 gives negative gaps and an infinite load zero gaps, so
+    # the arrivals would never reach the horizon
+    with pytest.raises(ValueError, match=message):
+        generate_best_effort(load, 10_000, seed=1, size=size)
+
+
+@pytest.mark.parametrize("load", [0.0, -5.0])
+def test_best_effort_without_load_has_no_packets(load):
+    assert generate_best_effort(load, 10_000, seed=1) == []
+
+
 def test_overlay_preserves_factory_assignments():
     js = load_use_case("UC4", 100_000, seed=1)
     schedule = lsds(js, 40, PHY)
