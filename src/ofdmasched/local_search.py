@@ -39,6 +39,15 @@ contiguous range found by two bisections. The vectorized bounds read
 them as arrays, rebuilt on demand only from the first index a commit
 changed.
 
+Each group of unscheduled jobs (one profit, per-class durations and
+deadline offset) keeps its releases as a sorted int64 array, which the
+sweeps and ``_items_for`` search vectorized, and its job ids as a plain
+list aligned with it. A commit zips id slices straight into assignments,
+drops them with one concatenation per pool it touches, and keeps only the
+ids; an eviction looks their releases up in the run's id -> release map
+and puts them back before the members of an equal release. That order
+breaks later ties, so it is part of the output.
+
 Two vectorized bounds screen the intervals of one length before any is
 evaluated exactly. ``_sweep`` bounds each start of a range by the best
 profits that fit the relaxed machine set, class-blind, and keeps
@@ -254,30 +263,34 @@ class _Group:
         self.durations = durations  # per class, ascending class order (non-increasing)
         self.off = off              # deadline - release, or _UNBOUND (deadline == horizon)
         self.releases = None        # np.int64, sorted
-        self.ids = None             # aligned job ids
+        self.ids = None             # list of job ids, aligned with releases
 
     def remove(self, spans):
-        """Drop the members at positions [lo, lo+n) for each (lo, n)."""
-        keep = np.ones(len(self.releases), dtype=bool)
-        for lo, n in spans:
-            keep[lo: lo + n] = False
-        self.releases = self.releases[keep]
-        self.ids = self.ids[keep]
+        """Drop the members at positions [lo, lo+n) for each disjoint (lo, n)."""
+        kept, end = [], len(self.ids)
+        for lo, n in sorted(spans, reverse=True):
+            kept.append(self.releases[lo + n: end])
+            del self.ids[lo: lo + n]
+            end = lo
+        kept.append(self.releases[:end])
+        self.releases = np.concatenate(kept[::-1])
 
     def add(self, releases, ids):
-        pos = np.searchsorted(self.releases, releases)
+        """Put back members of sorted ``releases``, before equal releases."""
+        pos = self.releases.searchsorted(releases).tolist()
         self.releases = np.insert(self.releases, pos, releases)
-        self.ids = np.insert(self.ids, pos, ids)
+        # last first, so the positions still index the old pool
+        for p, i in zip(reversed(pos), reversed(ids)):
+            self.ids.insert(p, i)
 
 
 class _CommittedBatch:
-    __slots__ = ("assignments", "config", "machines", "pool_refs")
+    __slots__ = ("assignments", "row", "pool_refs")
 
-    def __init__(self, assignments, config, machines, pool_refs):
-        self.assignments = assignments      # (job_id, machine_index) pairs
-        self.config = config
-        self.machines = machines
-        self.pool_refs = pool_refs          # (group_idx, releases, ids) for eviction
+    def __init__(self, assignments, row, pool_refs):
+        self.assignments = assignments      # (job_id, machine_index) pairs, unsorted
+        self.row = row                      # of the configuration table
+        self.pool_refs = pool_refs          # (group, ids) per pool slice taken
 
 
 class _Engine:
@@ -305,11 +318,11 @@ class _Engine:
         self.stats = LocalSearchStats()
 
         active = counts.any(axis=0)
+        counts = counts[:, active]
         self.configs = configs
         self.machines = machines
-        self.cfg_counts = counts[:, active]
-        self.cfg_suffix = _suffix(self.cfg_counts)
-        self.suffix_caps = _suffix(self.cfg_counts.max(axis=0))  # the relaxed machine set
+        self.cfg_suffix = _suffix(counts)
+        self.suffix_caps = _suffix(counts.max(axis=0))  # the relaxed machine set
         self.sigma_total = int(self.suffix_caps[0])
         self.caps_ext = np.append(self.suffix_caps, 0)  # S_0 .. S_K, with S_K = 0
         self.K = int(active.sum())
@@ -338,6 +351,7 @@ class _Engine:
     # ---- pool construction -------------------------------------------------
 
     def _build_groups(self, jobset, table_cols, active):
+        self.release_of = {job.id: job.release for job in jobset.jobs}
         members = {}
         for job in jobset.jobs:
             off = _UNBOUND if job.deadline_abs >= self.horizon else job.deadline_abs - job.release
@@ -355,7 +369,7 @@ class _Engine:
             grp = _Group(profit, tuple(durations[c] for c in active), off)
             rel_ids = sorted(table[key])
             grp.releases = np.array([r for r, _ in rel_ids], dtype=np.int64)
-            grp.ids = np.array([i for _, i in rel_ids], dtype=np.int64)
+            grp.ids = [i for _, i in rel_ids]
             self.groups.append(grp)
         # groups of one profit are adjacent: (profit, first, end) per profit
         self.levels = []
@@ -447,63 +461,45 @@ class _Engine:
 
     # ---- committing ---------------------------------------------------------
 
-    def _realize(self, takes, caps):
-        """Split takes across concrete classes: most-constrained first, each
-        member on the slowest class it admits."""
-        free = caps.astype(np.int64).copy()
-        per_class = []  # (group_idx, class, lo, count)
-        for _, c, take, (gi, lo) in sorted(takes, key=lambda t: -t[1]):
-            pos = lo
-            need = take
-            for cls in range(c, self.K):
-                if need == 0:
-                    break
-                n = int(min(free[cls], need))
-                if n > 0:
-                    per_class.append((gi, cls, pos, n))
-                    free[cls] -= n
-                    pos += n
-                    need -= n
-            if need:
-                raise AssertionError("infeasible realization; capacity accounting bug")
-        return per_class
-
     def _commit(self, t1, t2, weight, takes, row):
-        # extract the selected jobs first: take positions index the pool
-        # as it was when the interval was evaluated, so the pool must not
-        # change (eviction re-adds included) until the slices are read
-        caps = self.cfg_counts[row]
-        per_class = self._realize(takes, caps)
-        # machines run widest first, so each class holds one block of slots
-        slot = (self.cfg_suffix[row] - caps).tolist()
-        assignments = []
-        pool_refs = []
-        removals = {}
-        for gi, cls, lo, n in per_class:
+        # take the jobs first: take positions index the pool as it was when
+        # the interval was evaluated, so the pool must not change (eviction
+        # re-adds included) until the slices are read. The most constrained
+        # takes go first, each member on the slowest class it admits; the
+        # machines run widest first, so class k holds slots
+        # [suffix[k + 1], suffix[k]), with suffix[K] = 0
+        suffix = self.cfg_suffix[row].tolist()
+        slot = suffix[1:] + [0]
+        assignments, pool_refs, removals = [], [], {}
+        for _, c, take, (gi, lo) in sorted(takes, key=lambda t: -t[1]):
             g = self.groups[gi]
-            ids = g.ids[lo: lo + n]
-            rels = g.releases[lo: lo + n]
-            # copies: views would keep whole superseded pools alive
-            pool_refs.append((gi, rels.copy(), ids.copy()))
-            removals.setdefault(gi, []).append((lo, n))
-            first = slot[cls]
-            assignments += zip(ids.tolist(), range(first, first + n))
-            slot[cls] = first + n
-        for gi, spans in removals.items():
-            self.groups[gi].remove(spans)
+            removals.setdefault(g, []).append((lo, take))
+            for cls in range(c, self.K):
+                n = min(suffix[cls] - slot[cls], take)
+                if n > 0:
+                    ids = g.ids[lo: lo + n]
+                    pool_refs.append((g, ids))
+                    assignments += zip(ids, range(slot[cls], slot[cls] + n))
+                    slot[cls] += n
+                    lo += n
+                    take -= n
+                    if not take:
+                        break
+            if take:
+                raise AssertionError("infeasible realization; capacity accounting bug")
+        for g, spans in removals.items():
+            g.remove(spans)
 
         lo_b, hi_b = self._conflict_range(t1, t2)
         evicted = self.batches[lo_b:hi_b]
         evicted_weight = sum(self.weights[lo_b:hi_b])
         for b in evicted:
-            for gi, releases, ids in b.pool_refs:
-                self.groups[gi].add(releases, ids)
+            for g, ids in b.pool_refs:
+                g.add([self.release_of[i] for i in ids], ids)
 
         # every batch before lo_b ends before t1 and every one from hi_b on
         # starts after t2, so the new batch takes the evicted ones' place
-        batch = _CommittedBatch(tuple(sorted(assignments)),
-                                self.configs[row], self.machines(row), pool_refs)
-        self.batches[lo_b:hi_b] = [batch]
+        self.batches[lo_b:hi_b] = [_CommittedBatch(assignments, row, pool_refs)]
         self.starts[lo_b:hi_b] = [t1]
         self.ends[lo_b:hi_b] = [t2]
         self.weights[lo_b:hi_b] = [weight]
@@ -652,8 +648,8 @@ class _Engine:
     def schedule(self, jobset):
         profit_of = {j.id: j.profit for j in jobset.jobs}
         batches = [
-            Batch(interval=Interval(t1, t2), assignments=b.assignments,
-                  machines=tuple(b.machines), config=b.config)
+            Batch(interval=Interval(t1, t2), assignments=tuple(sorted(b.assignments)),
+                  machines=tuple(self.machines(b.row)), config=self.configs[b.row])
             for t1, t2, b in zip(self.starts, self.ends, self.batches)
         ]
         return make_schedule(batches, profit_of)

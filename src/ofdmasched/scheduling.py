@@ -101,30 +101,32 @@ def parse_schedule(
     phy: PhyProfile,
 ) -> Schedule:
     table = config_table(channel_width)
-    rows: dict[int, dict] = {}
+    rows: dict[int, tuple] = {}  # batch index -> (interval, config, first line, pairs)
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             idx, t1, t2, cfg, job, mach = map(int, line.split())
+            interval = Interval(t1, t2)
             if job not in profit_of:
                 raise ValueError(f"job {job} is not in the job set")
-            if cfg >= len(table.configs):
+            if not 0 <= cfg < len(table.configs):
                 raise ValueError(f"configuration {cfg} is not in the {channel_width} MHz table")
+            n_machines = table.configs[cfg].total_rus
+            if not 0 <= mach < n_machines:
+                raise ValueError(f"machine {mach} is not among the {n_machines} machines "
+                                 f"of configuration {cfg}")
+            batch = rows.setdefault(idx, (interval, cfg, number, []))
+            if batch[:2] != (interval, cfg):
+                raise ValueError(f"batch {idx} is [{batch[0].start}, {batch[0].end}] on "
+                                 f"configuration {batch[1]} at line {batch[2]}")
         except ValueError as exc:
             raise ValueError(f"line {number}: {line!r}: {exc}") from None
-        entry = rows.setdefault(idx, {"t1": t1, "t2": t2, "cfg": cfg, "pairs": []})
-        entry["pairs"].append((job, mach))
-    batches = []
-    for idx in sorted(rows):
-        e = rows[idx]
-        if e["cfg"] < 0:
-            raise ValueError("cannot reconstruct machines for config-less batch")
-        batches.append(Batch(
-            interval=Interval(e["t1"], e["t2"]),
-            assignments=tuple(sorted(e["pairs"])),
-            machines=table.machines(e["cfg"], phy),
-            config=table.configs[e["cfg"]],
-        ))
+        batch[3].append((job, mach))
+    batches = [
+        Batch(interval=interval, assignments=tuple(sorted(pairs)),
+              machines=table.machines(cfg, phy), config=table.configs[cfg])
+        for _, (interval, cfg, _, pairs) in sorted(rows.items())
+    ]
     return make_schedule(batches, profit_of)

@@ -15,8 +15,9 @@ from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
 from ofdmasched.phy import PhyProfile
 from ofdmasched.phy import CHANNEL_WIDTHS
-from ofdmasched.scheduling import parse_schedule
-from ofdmasched.simulator import CHANNEL_QUALITIES, scheduler_registry, validate_schedule
+from ofdmasched.scheduling import dump_schedule, parse_schedule
+from ofdmasched.simulator import (CHANNEL_QUALITIES, ChannelScenario, run_scenario,
+                                  scheduler_registry, validate_schedule)
 from ofdmasched.workload import USE_CASES, load_use_case
 
 
@@ -272,11 +273,30 @@ def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
     ("0 0 10 0 5 0\n", "line 1: '0 0 10 0 5 0': job 5 is not in the job set"),
     ("0 0 10 999 1 0\n",
      "line 1: '0 0 10 999 1 0': configuration 999 is not in the 40 MHz table"),
+    ("0 0 10 -1 1 0\n",
+     "line 1: '0 0 10 -1 1 0': configuration -1 is not in the 40 MHz table"),
+    ("0 0 10 0 1 0\n0 5 20 3 2 1\n",
+     "line 2: '0 5 20 3 2 1': batch 0 is [0, 10] on configuration 0 at line 1"),
+    ("0 0 10 3 1 0\n0 0 10 4 2 1\n",
+     "line 2: '0 0 10 4 2 1': batch 0 is [0, 10] on configuration 3 at line 1"),
+    ("0 0 10 0 1 99\n", "line 1: '0 0 10 0 1 99': machine 99 is not among the 1 machines"),
+    ("0 0 10 0 1 -1\n", "line 1: '0 0 10 0 1 -1': machine -1 is not among the 1 machines"),
+    ("0 10 10 0 1 0\n", "line 1: '0 10 10 0 1 0': empty interval [10, 10]"),
+    ("0 20 10 0 1 0\n", "line 1: '0 20 10 0 1 0': empty interval [20, 10]"),
 ])
 def test_parse_schedule_names_the_bad_line(text, where):
     with pytest.raises(ValueError) as info:
         parse_schedule(text, {1: 1.0, 2: 1.0}, 40, PhyProfile())
     assert str(info.value).startswith(where)
+
+
+@pytest.mark.parametrize("scheduler", sorted(scheduler_registry()))
+def test_every_dumped_schedule_parses_back(scheduler):
+    jobs = load_use_case("UC2", 10_000, seed=1)
+    _, schedule = run_scenario(jobs, scheduler, ChannelScenario("ideal"), 40)
+    text = dump_schedule(schedule)
+    back = parse_schedule(text, {j.id: j.profit for j in jobs.jobs}, 40, PhyProfile())
+    assert dump_schedule(back) == text
 
 
 # values of every JSON type, for keys that expect another

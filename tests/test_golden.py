@@ -56,9 +56,13 @@ SCHEDULES = {
     ("UC4", "nlrf"): "08638d287fda57d9",
 }
 
+# (use case, width, horizon, txop, grid) -> golden hash. The UC3 run is
 # long enough for the engine to evict (17 times) and to tighten sweeps of
-# more than one chunk of survivors: (use case, width, horizon, txop, grid)
-LONG_LSDS = {("UC3", 160, 10_000, 500, 16): "0d1e1cc4c039f59e"}
+# more than one chunk of survivors. The UC1 run evicts 5 times, and its
+# hash changes if evicted jobs go back behind pool members of an equal
+# release instead of before them.
+LONG_LSDS = {("UC3", 160, 10_000, 500, 16): "0d1e1cc4c039f59e",
+             ("UC1", 40, 5_000, 4_000, 16): "879839745dc3424c"}
 
 # 362 rounds per scheduler, whose packets go on RUs of all six classes:
 # (use case, width, horizon, txop) -> hash per scheduler

@@ -653,3 +653,37 @@ def test_engine_counters_repeat_and_add_up(use_case, width, horizon, txop):
     assert first.config_searches <= first.exact_evaluations
     assert first.restarts <= first.evictions
     assert first.config_rows <= first.config_searches_computed * len(config_table(160).counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pool_remove_and_add_keep_release_order(data):
+    # the model: (release, id) entries in release order, where members put
+    # back go before those of an equal release and keep their own order
+    releases = sorted(data.draw(st.lists(st.integers(0, 4), max_size=12)))
+    ids = data.draw(st.permutations(range(100, 100 + len(releases))))
+    group = local_search._Group(1.0, (16,), local_search._UNBOUND)
+    group.releases = np.array(releases, dtype=np.int64)
+    group.ids = list(ids)
+    model = list(zip(releases, ids))
+    taken = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        if taken and data.draw(st.booleans()):
+            piece = taken.pop(data.draw(st.integers(0, len(taken) - 1)))
+            group.add([r for r, _ in piece], [i for _, i in piece])
+            model = [(r, i) for r, _, _, i in sorted(
+                [(r, 0, k, i) for k, (r, i) in enumerate(piece)]
+                + [(r, 1, k, i) for k, (r, i) in enumerate(model)])]
+        elif model:
+            # disjoint spans, several in one call, in any order
+            cuts = sorted(set(data.draw(st.lists(st.integers(0, len(model)), min_size=2))))
+            pieces = [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+            pieces = data.draw(st.permutations(pieces))
+            spans = pieces[: data.draw(st.integers(1, max(1, len(pieces))))]
+            group.remove(spans)
+            taken += [model[lo: lo + n] for lo, n in spans]
+            gone = {k for lo, n in spans for k in range(lo, lo + n)}
+            model = [e for k, e in enumerate(model) if k not in gone]
+        assert group.releases.dtype == np.int64
+        assert list(zip(group.releases.tolist(), group.ids)) == model
+        assert (np.diff(group.releases) >= 0).all()
