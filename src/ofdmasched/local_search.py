@@ -118,12 +118,9 @@ _UNBOUND = 1 << 62
 
 
 def default_grid_us(phy: PhyProfile) -> int:
-    """Smallest whole-microsecond multiple of the OFDM symbol >= 100 us."""
+    """Smallest multiple of the OFDM symbol >= 100 us, in microseconds."""
     sym_ns = phy.symbol_duration_ns
-    k = -(-100_000 // sym_ns)
-    while (k * sym_ns) % 1000:
-        k += 1
-    return k * sym_ns // 1000
+    return -(-100_000 // sym_ns) * sym_ns // 1000
 
 
 @dataclass
@@ -461,9 +458,11 @@ class _Engine:
 
     # ---- committing ---------------------------------------------------------
 
-    def _commit(self, t1, t2, weight, takes, row):
-        # take the jobs first: take positions index the pool as it was when
-        # the interval was evaluated, so the pool must not change (eviction
+    def _commit(self, t1, t2, weight, takes, row, lo_b, hi_b, evicted_weight):
+        # [lo_b, hi_b) is ``_conflict_range(t1, t2)`` and evicted_weight its
+        # weight, as ``_scan`` found them. Take the jobs first: take
+        # positions index the pool as it was when the interval was
+        # evaluated, so the pool must not change (eviction
         # re-adds included) until the slices are read. The most constrained
         # takes go first, each member on the slowest class it admits; the
         # machines run widest first, so class k holds slots
@@ -490,9 +489,7 @@ class _Engine:
         for g, spans in removals.items():
             g.remove(spans)
 
-        lo_b, hi_b = self._conflict_range(t1, t2)
         evicted = self.batches[lo_b:hi_b]
-        evicted_weight = sum(self.weights[lo_b:hi_b])
         for b in evicted:
             for g, ids in b.pool_refs:
                 g.add([self.release_of[i] for i in ids], ids)
@@ -623,7 +620,7 @@ class _Engine:
             if value <= 2.0 * conflict_w:
                 continue
             _, takes = _greedy(takes1, self.cfg_suffix[winner])
-            if self._commit(t1, t2, value, takes, winner):
+            if self._commit(t1, t2, value, takes, winner, lo_b, hi_b, conflict_w):
                 return idx
         return None
 

@@ -1,12 +1,16 @@
 """OFDMA resource-unit model: tone classes, legal RU configurations, PHY timing.
 
-``config_table`` and ``class_durations`` are the cached configuration
-arrays and per-class durations that the schedulers share; the validator
-derives its durations from ``tx_duration`` on its own, as do the exact
-oracles the tests check the schedulers against.
+The legal configurations of a channel width are the RU multisets its
+root RU(s) reach under the standard's split grammar; the most RUs of
+each class a width holds follows from them. ``config_table`` and
+``class_durations`` are the cached configuration arrays, ids and
+per-class durations that the schedulers share; the validator derives
+its durations from ``tx_duration`` on its own, as do the exact oracles
+the tests check the schedulers against.
 
 Time is kept on an integer microsecond grid throughout. Transmission
-durations are whole OFDM symbols; symbol arithmetic uses exact integer
+durations are whole OFDM symbols of a fixed 16 us (12.8 us of payload
+plus a 3.2 us guard interval); symbol arithmetic uses exact integer
 math so that durations never suffer float rounding at admissibility
 boundaries.
 """
@@ -80,8 +84,8 @@ _MCS_BITS_PER_SUBCARRIER = (
     (25, 3),  # 11: 1024-QAM 5/6
 )
 
-_PAYLOAD_SYMBOL_NS = 12800
-_GUARD_INTERVALS_NS = (800, 1600, 3200)
+# One OFDM symbol: 12.8 us of payload plus a 3.2 us guard interval.
+_SYMBOL_NS = 16_000
 
 # Root RU(s) that a channel of each width splits down from.
 _CHANNEL_ROOTS = {
@@ -89,19 +93,6 @@ _CHANNEL_ROOTS = {
     40: (RuToneClass.RU484,),
     80: (RuToneClass.RU996,),
     160: (RuToneClass.RU996, RuToneClass.RU996),
-}
-
-# Maximum RU count per class, per channel width. "n" in the standard's
-# "+n 26-tone RUs" annotations is already folded into the 26-tone row.
-_MAX_RU_TABLE = {
-    20: {RuToneClass.RU26: 9, RuToneClass.RU52: 4, RuToneClass.RU106: 2,
-         RuToneClass.RU242: 1, RuToneClass.RU484: 0, RuToneClass.RU996: 0},
-    40: {RuToneClass.RU26: 18, RuToneClass.RU52: 8, RuToneClass.RU106: 4,
-         RuToneClass.RU242: 2, RuToneClass.RU484: 1, RuToneClass.RU996: 0},
-    80: {RuToneClass.RU26: 37, RuToneClass.RU52: 16, RuToneClass.RU106: 8,
-         RuToneClass.RU242: 4, RuToneClass.RU484: 2, RuToneClass.RU996: 1},
-    160: {RuToneClass.RU26: 74, RuToneClass.RU52: 32, RuToneClass.RU106: 16,
-          RuToneClass.RU242: 8, RuToneClass.RU484: 4, RuToneClass.RU996: 2},
 }
 
 # Split grammar. 242- and 996-tone RUs split three ways (the extra
@@ -128,20 +119,17 @@ def root_tones(channel_width: int) -> int:
 
 @dataclass(frozen=True)
 class PhyProfile:
-    """Modulation/guard-interval settings shared by all stations."""
+    """Modulation settings shared by all stations."""
 
     mcs: int = 11
-    guard_interval_ns: int = 3200
 
     def __post_init__(self):
         if not 0 <= self.mcs <= 11:
             raise ValueError(f"mcs out of range: {self.mcs}")
-        if self.guard_interval_ns not in _GUARD_INTERVALS_NS:
-            raise ValueError(f"invalid guard interval: {self.guard_interval_ns} ns")
 
     @property
     def symbol_duration_ns(self) -> int:
-        return _PAYLOAD_SYMBOL_NS + self.guard_interval_ns
+        return _SYMBOL_NS
 
 
 @dataclass(frozen=True)
@@ -158,22 +146,14 @@ class Machine:
         return int(self.tone_class)
 
 
-def tx_symbols(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile) -> int:
-    """Whole OFDM symbols needed for a payload on an RU class (exact)."""
+def tx_duration_us(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile) -> int:
+    """Transmission duration on an RU class in whole symbols, in microseconds."""
     if payload_bytes <= 0:
         raise ValueError("payload must be positive")
-    bits = payload_bytes * 8
     num, den = _MCS_BITS_PER_SUBCARRIER[phy.mcs]
-    # ceil(bits / (subcarriers * num / den)) in integers
-    denom = DATA_SUBCARRIERS[tone_class] * num
-    return -(-bits * den // denom)
-
-
-def tx_duration_us(payload_bytes: int, tone_class: RuToneClass, phy: PhyProfile) -> int:
-    """Transmission duration on an RU class, whole symbols, ceil'd to 1 us."""
-    symbols = tx_symbols(payload_bytes, tone_class, phy)
-    ns = symbols * phy.symbol_duration_ns
-    return -(-ns // 1000)
+    # symbols = ceil(bits / (subcarriers * num / den)), in integers
+    symbols = -(-payload_bytes * 8 * den // (DATA_SUBCARRIERS[tone_class] * num))
+    return symbols * _SYMBOL_NS // 1000
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,9 +182,8 @@ class RuConfiguration:
         _check_width(self.channel_width)
         if len(self.counts) != len(TONE_CLASSES) or any(c < 0 for c in self.counts):
             raise ValueError(f"malformed counts: {self.counts}")
-        table = _MAX_RU_TABLE[self.channel_width]
-        for cls, n in zip(TONE_CLASSES, self.counts):
-            if n > table[cls]:
+        for cls, n, most in zip(TONE_CLASSES, self.counts, _max_counts(self.channel_width)):
+            if n > most:
                 raise ValueError(
                     f"{n} x {int(cls)}-tone exceeds the {self.channel_width} MHz maximum"
                 )
@@ -229,25 +208,35 @@ class RuConfiguration:
         return "{" + ",".join(parts) + "}" if parts else "{}"
 
 
+def _split_vectors(classes) -> frozenset[tuple[int, ...]]:
+    """Count vectors reachable by splitting each RU of ``classes`` on its own."""
+    vectors = {(0,) * len(TONE_CLASSES)}
+    for cls in classes:
+        vectors = {tuple(x + y for x, y in zip(a, b))
+                   for a in vectors for b in _class_config_vectors(cls)}
+    return frozenset(vectors)
+
+
 @functools.lru_cache(maxsize=None)
 def _class_config_vectors(cls: RuToneClass) -> frozenset[tuple[int, ...]]:
     """Count vectors reachable from a single RU of class ``cls``."""
-    idx = TONE_CLASSES.index(cls)
     base = [0] * len(TONE_CLASSES)
-    base[idx] = 1
-    vectors = {tuple(base)}
-    if cls in _SPLITS:
-        # splits are (a, b) or (a, b, fixed 26); the first two recurse
-        parts = _SPLITS[cls]
-        a_set = _class_config_vectors(parts[0])
-        b_set = _class_config_vectors(parts[1])
-        extra = [0] * len(TONE_CLASSES)
-        for p in parts[2:]:
-            extra[TONE_CLASSES.index(p)] += 1
-        for a in a_set:
-            for b in b_set:
-                vectors.add(tuple(x + y + z for x, y, z in zip(a, b, extra)))
-    return frozenset(vectors)
+    base[TONE_CLASSES.index(cls)] = 1
+    splits = _split_vectors(_SPLITS[cls]) if cls in _SPLITS else frozenset()
+    return splits | {tuple(base)}
+
+
+@functools.lru_cache(maxsize=None)
+def _width_vectors(channel_width: int) -> frozenset[tuple[int, ...]]:
+    """Count vectors reachable from the channel's root RU(s)."""
+    _check_width(channel_width)
+    return _split_vectors(_CHANNEL_ROOTS[channel_width])
+
+
+@functools.lru_cache(maxsize=None)
+def _max_counts(channel_width: int) -> tuple[int, ...]:
+    """Most RUs of each tone class (ascending) that the channel holds."""
+    return tuple(map(max, zip(*_width_vectors(channel_width))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,30 +248,15 @@ def enumerate_configurations(channel_width: int) -> tuple[RuConfiguration, ...]:
     returned in the deterministic (total RUs, counts) order used for
     configuration ids.
     """
-    _check_width(channel_width)
-    roots = _CHANNEL_ROOTS[channel_width]
-    vectors = _class_config_vectors(roots[0])
-    if len(roots) == 2:
-        b_vectors = _class_config_vectors(roots[1])
-        vectors = frozenset(
-            tuple(x + y for x, y in zip(a, b)) for a in vectors for b in b_vectors
-        )
-    configs = [RuConfiguration(v, channel_width) for v in vectors]
+    configs = [RuConfiguration(v, channel_width) for v in _width_vectors(channel_width)]
     configs.sort(key=RuConfiguration.sort_key)
     return tuple(configs)
-
-
-@functools.lru_cache(maxsize=None)
-def _config_index_map(channel_width: int) -> dict[tuple[int, ...], int]:
-    return {
-        cfg.counts: i for i, cfg in enumerate(enumerate_configurations(channel_width))
-    }
 
 
 def configuration_index(config: RuConfiguration) -> int:
     """Stable id of a configuration within its channel width."""
     try:
-        return _config_index_map(config.channel_width)[config.counts]
+        return config_table(config.channel_width).index[config.counts]
     except KeyError:
         raise ValueError(f"{config} is not a legal {config.channel_width} MHz configuration")
 
@@ -291,7 +265,7 @@ def full_26_tone_configuration(channel_width: int) -> RuConfiguration:
     """The all-26-tone split (the widest-parallelism configuration)."""
     _check_width(channel_width)
     counts = [0] * len(TONE_CLASSES)
-    counts[0] = _MAX_RU_TABLE[channel_width][RuToneClass.RU26]
+    counts[0] = _max_counts(channel_width)[0]
     return RuConfiguration(tuple(counts), channel_width)
 
 
@@ -306,15 +280,16 @@ def machines_for_configuration(config: RuConfiguration, phy: PhyProfile) -> list
 class ConfigTable:
     """The legal configurations of one channel width, as arrays.
 
-    ``counts[i]`` holds configuration i's RU count per tone class
-    (ascending) and ``suffix[i, k]`` its count of RUs of class k or
-    wider; ``class_mat[i]`` holds the tone-class index of each of its
-    RUs, widest first, padded with -1. Machine tuples are built per
-    (configuration, PHY) on first use.
+    ``index`` maps a configuration's counts to its id i, ``counts[i]``
+    holds its RU count per tone class (ascending) and ``suffix[i, k]``
+    its count of RUs of class k or wider; ``class_mat[i]`` holds the
+    tone-class index of each of its RUs, widest first, padded with -1.
+    Machine tuples are built per (configuration, PHY) on first use.
     """
 
     def __init__(self, channel_width: int):
         self.configs = enumerate_configurations(channel_width)
+        self.index = {c.counts: i for i, c in enumerate(self.configs)}
         self.counts = np.array([c.counts for c in self.configs], dtype=np.int64)
         self.suffix = self.counts[:, ::-1].cumsum(axis=1)[:, ::-1]
         width = max(c.total_rus for c in self.configs)

@@ -355,7 +355,7 @@ def best_effort_overlay(
                 t = waiting[0].release
                 continue
             end_limit = min(gap_end, t + txop)
-            if end_limit - t < 16:
+            if (end_limit - t) * 1_000 < phy.symbol_duration_ns:
                 break
             config, pairs, matched = lsds_config_search(
                 waiting[:n], Interval(t, end_limit), channel_width, phy)

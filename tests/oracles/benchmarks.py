@@ -25,7 +25,6 @@ __all__ = ["greedy_benchmark"]
 @dataclass
 class _Station:
     station: int
-    app: str
     queue: list  # jobs, release-sorted
     head: int = 0
 
@@ -72,13 +71,13 @@ def greedy_benchmark(
     for job in jobs.jobs:
         st = stations.get(job.station)
         if st is None:
-            st = stations[job.station] = _Station(job.station, job.app, [])
+            st = stations[job.station] = _Station(job.station, [])
         st.queue.append(job)
     for st in stations.values():
         st.queue.sort(key=lambda j: (j.release, j.id))
     station_list = sorted(stations.values(), key=lambda s: s.station)
 
-    apps = sorted({s.app for s in station_list})
+    apps = sorted({j.app for j in jobs.jobs})
     app_releases = {a: np.array(sorted(j.release for j in jobs.jobs if j.app == a))
                     for a in apps}
     transmitted = {a: 0 for a in apps}
@@ -129,7 +128,7 @@ def greedy_benchmark(
         for pos in np.nonzero(ok[cfg_idx])[0]:
             st, job = heads[pos][2], heads[pos][3]
             st.pop()
-            transmitted[st.app] += 1
+            transmitted[job.app] += 1
             assignments.append((job.id, int(pos)))
             end = max(end, now + int(d[cfg_idx, pos]))
         batches.append(Batch(

@@ -60,6 +60,20 @@ def test_nlrf_startup_equals_lrf_when_nothing_transmitted():
     assert lrf == nlrf
 
 
+# one station whose two jobs belong to two applications
+TWO_APPS = JobSet((Job(0, 0, 0, 1000, 1.0, 100, app="a"),
+                   Job(1, 0, 10, 1000, 1.0, 100, app="b")), 1000, 1)
+
+
+@pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+def test_a_station_may_carry_two_applications(kind):
+    # nlrf counts transmissions per application of the job, not of the
+    # station's first job
+    schedule = greedy_benchmark(kind, TWO_APPS, 40, PHY)
+    assert schedule.scheduled_jobs == {0, 1}
+    assert schedule == oracle.greedy_benchmark(kind, TWO_APPS, 40, PHY)
+
+
 def test_benchmark_schedules_validate_clean():
     for uc, width in (("UC1", 40), ("UC2", 40), ("UC4", 40)):
         js = load_use_case(uc, 30_000, seed=3)

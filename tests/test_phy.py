@@ -130,7 +130,7 @@ def test_configuration_index_round_trip():
 
 def test_phy_rate_anchors():
     default = PhyProfile()
-    assert default.mcs == 11 and default.guard_interval_ns == 3200
+    assert default.mcs == 11
     assert default.symbol_duration_ns == 16_000
     # peak single-RU rate at MCS 11: about 510 Mbps
     assert phy_rate(RuToneClass.RU996, default) == pytest.approx(510.4166, abs=1e-3)
