@@ -32,8 +32,6 @@ first best group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phy import PhyProfile, class_durations, config_table
@@ -45,28 +43,31 @@ __all__ = ["BENCHMARK_KINDS", "greedy_benchmark"]
 BENCHMARK_KINDS = ("edf", "lrf", "nlrf")
 
 
-@dataclass
 class _Station:
-    station: int
-    queue: list  # jobs, release-sorted
-    head: int = 0
+    """One station's jobs in release order, with their releases and
+    deadlines copied to plain lists: every round reads them, and a list
+    item reads faster than a ``Job`` field."""
+
+    def __init__(self, station: int, queue: list):
+        self.station = station
+        self.queue = queue
+        self.releases = [j.release for j in queue]
+        self.deadlines = [j.deadline_abs for j in queue]
+        self.head = 0
 
     def pending(self, now):
-        q = self.queue
-        while self.head < len(q) and q[self.head].deadline_abs <= now:
+        deadlines = self.deadlines
+        while self.head < len(deadlines) and deadlines[self.head] <= now:
             self.head += 1  # expired
-        if self.head < len(q) and q[self.head].release <= now:
-            return q[self.head]
+        if self.head < len(deadlines) and self.releases[self.head] <= now:
+            return self.queue[self.head]
         return None
 
     def next_event(self, now):
         """Earliest future time at which this station's state can change."""
-        q = self.queue
-        for i in range(self.head, len(q)):
-            if q[i].deadline_abs > now:
-                if q[i].release > now:
-                    return q[i].release
-                return q[i].deadline_abs
+        for i in range(self.head, len(self.deadlines)):
+            if self.deadlines[i] > now:
+                return self.releases[i] if self.releases[i] > now else self.deadlines[i]
         return None
 
     def pop(self):
@@ -111,15 +112,11 @@ def greedy_benchmark(
     n_positions = table.class_mat.shape[1]
     fit_groups = {}  # kmin bytes -> _fit_groups, for this run
 
-    stations: dict[int, _Station] = {}
+    queues: dict[int, list] = {}
     for job in jobs.jobs:
-        st = stations.get(job.station)
-        if st is None:
-            st = stations[job.station] = _Station(job.station, [])
-        st.queue.append(job)
-    for st in stations.values():
-        st.queue.sort(key=lambda j: (j.release, j.id))
-    station_list = sorted(stations.values(), key=lambda s: s.station)
+        queues.setdefault(job.station, []).append(job)
+    station_list = [_Station(s, sorted(queues[s], key=lambda j: (j.release, j.id)))
+                    for s in sorted(queues)]
 
     apps = sorted({j.app for j in jobs.jobs})
     app_releases = {a: np.array(sorted(j.release for j in jobs.jobs if j.app == a))

@@ -63,16 +63,17 @@ class Schedule:
     total_profit: float
 
     def __post_init__(self):
-        ids = [j for b in self.batches for j in b.job_ids]
-        if len(ids) != len(set(ids)):
+        ids = [j for b in self.batches for j, _ in b.assignments]
+        id_set = set(ids)
+        if len(ids) != len(id_set):
             raise ValueError("job appears in two batches")
-        if set(ids) != set(self.scheduled_jobs):
+        if id_set != self.scheduled_jobs:
             raise ValueError("scheduled_jobs inconsistent with batches")
 
 
 def make_schedule(batches: list[Batch], profit_of: dict[int, float]) -> Schedule:
     batches = sorted(batches, key=lambda b: (b.interval.start, b.interval.end))
-    ids = frozenset(j for b in batches for j in b.job_ids)
+    ids = frozenset(j for b in batches for j, _ in b.assignments)
     return Schedule(
         batches=tuple(batches),
         scheduled_jobs=ids,

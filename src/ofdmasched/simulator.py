@@ -378,7 +378,7 @@ def best_effort_overlay(
             fill_gap(cursor + 1, start - 1)
         augmented.append(admit_on_free(batch))
         n = arrived(start)
-        waiting[:n] = [replace(j, profit=escalate_profit(j.profit, top)) for j in waiting[:n]]
+        waiting[:n] = [j._replace(profit=escalate_profit(j.profit, top)) for j in waiting[:n]]
         cursor = batch.interval.end
     if horizon - cursor > 1:
         fill_gap(cursor + 1, horizon)

@@ -34,6 +34,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -126,13 +127,12 @@ def _runs(apps: list[SlottedApp], horizon_slots: int) -> tuple[list[_Run], JobSe
         for app, station, reach, critical in per_app:
             if slot % app.period_slots:
                 continue
-            first = len(jobs)
+            first, n = len(jobs), app.node_count
             deadline = min(release + reach, horizon_us)
-            # positional arguments: keywords cost a quarter of the build
-            jobs += [Job(first + node, station + node, release, deadline, app.profit,
-                         app.size, critical, app.name)
-                     for node in range(app.node_count)]
-            runs.append(_Run(first, len(jobs), slot, deadline, app.profit, app.size))
+            jobs += map(Job, range(first, first + n), range(station, station + n),
+                        repeat(release, n), repeat(deadline, n), repeat(app.profit, n),
+                        repeat(app.size, n), repeat(critical, n), repeat(app.name, n))
+            runs.append(_Run(first, first + n, slot, deadline, app.profit, app.size))
     return runs, JobSet(jobs=tuple(jobs), horizon=horizon_us, seed=0)
 
 
@@ -210,11 +210,13 @@ def _window_batches(runs, config, phy, w_start, w_len):
                 heapq.heappush(ready, (deadline, first + take, end, e, size))
             ru += take
         sent.sort()
+        pairs = []
+        for first, take, ru in sent:
+            pairs += zip(range(first, first + take), range(ru, ru + take))
         t1 = slot * SLOT_US
         batches.append(Batch(
             interval=Interval(t1, t1 + longest),
-            assignments=tuple(pair for first, take, ru in sent
-                              for pair in zip(range(first, first + take), range(ru, ru + take))),
+            assignments=tuple(pairs),
             machines=machines,
             config=config,
         ))

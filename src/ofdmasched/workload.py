@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ApplicationProfile",
@@ -57,10 +58,7 @@ class ApplicationProfile:
         return round(1e6 / self.gen_rate)
 
 
-@dataclass(frozen=True, slots=True)
-class Job:
-    """A packet: release time, absolute deadline, profit, payload size."""
-
+class _JobFields(NamedTuple):
     id: int
     station: int
     release: int        # us
@@ -70,11 +68,33 @@ class Job:
     critical: bool = False
     app: str = ""
 
-    def __post_init__(self):
-        if self.release >= self.deadline_abs:
-            raise ValueError(f"job {self.id}: release {self.release} >= deadline {self.deadline_abs}")
-        if self.size <= 0:
+
+class Job(_JobFields):
+    """A packet: release time, absolute deadline, profit, payload size.
+
+    A tuple, because use cases and the slotted matcher build thousands of
+    packets per run and a frozen dataclass pays one ``object.__setattr__``
+    per field. Fields, defaults, ``repr``, immutability and ``hash`` (that
+    of the tuple of fields) are those a frozen dataclass would give, and
+    jobs compare equal as their fields do. The checks live in ``__new__``,
+    which unpickling calls; ``_make``, and so ``_replace``, goes through it
+    too, so every ``Job`` passes them. A field read costs about twice a
+    slot read, so loops that read the same fields every round copy them
+    to lists first (see ``benchmarks._Station``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id, station, release, deadline_abs, profit, size, critical=False, app=""):
+        if release >= deadline_abs:
+            raise ValueError(f"job {id}: release {release} >= deadline {deadline_abs}")
+        if size <= 0:
             raise ValueError("zero-size payload")
+        return tuple.__new__(cls, (id, station, release, deadline_abs, profit, size, critical, app))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,8 @@ class JobSet:
     seed: int
 
     def __post_init__(self):
+        if len({j.id for j in self.jobs}) == len(self.jobs):
+            return
         seen = set()
         for j in self.jobs:
             if j.id in seen:

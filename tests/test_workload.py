@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -174,3 +175,52 @@ def test_duplicate_job_ids_rejected():
             Job(id=7, station=2, release=5, deadline_abs=100, profit=1.0, size=10))
     with pytest.raises(ValueError, match="duplicate job id 7"):
         JobSet(jobs=jobs, horizon=100, seed=0)
+
+
+JOB_FIELDS = dict(id=3, station=1, release=10, deadline_abs=50, profit=2.5, size=40,
+                  critical=True, app="a")
+
+
+def test_job_fields_cannot_be_set():
+    job = Job(**JOB_FIELDS)
+    with pytest.raises(AttributeError):
+        job.profit = 9.0
+    with pytest.raises(AttributeError):
+        job.extra = 1
+
+
+def test_job_positional_and_keyword_construction_agree():
+    by_position = Job(*JOB_FIELDS.values())
+    by_keyword = Job(**JOB_FIELDS)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert Job(3, 1, 10, 50, 2.5, 40) == Job(**JOB_FIELDS)._replace(critical=False, app="")
+    assert repr(by_keyword) == ("Job(id=3, station=1, release=10, deadline_abs=50, "
+                                "profit=2.5, size=40, critical=True, app='a')")
+
+
+def test_job_hash_is_the_hash_of_its_fields():
+    job = Job(**JOB_FIELDS)
+    assert hash(job) == hash((job.id, job.station, job.release, job.deadline_abs,
+                              job.profit, job.size, job.critical, job.app))
+
+
+def test_job_pickle_round_trip():
+    job = Job(**JOB_FIELDS)
+    back = pickle.loads(pickle.dumps(job))
+    assert back == job and type(back) is Job
+
+
+@pytest.mark.parametrize("bad,message", [
+    (dict(release=50), "job 3: release 50 >= deadline 50"),
+    (dict(deadline_abs=9), "job 3: release 10 >= deadline 9"),
+    (dict(size=0), "zero-size payload"),
+])
+def test_job_checks_hold_on_every_constructor(bad, message):
+    fields = {**JOB_FIELDS, **bad}
+    with pytest.raises(ValueError, match=message):
+        Job(**fields)
+    with pytest.raises(ValueError, match=message):
+        Job._make(fields.values())
+    with pytest.raises(ValueError, match=message):
+        Job(**JOB_FIELDS)._replace(**bad)
