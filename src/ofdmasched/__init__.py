@@ -10,7 +10,7 @@ from .phy import (
 )
 from .workload import ApplicationProfile, Job, JobSet, load_use_case
 from .scheduling import Batch, Interval, Schedule
-from .local_search import lsds, lsdsf
+from .local_search import lsds_run, lsdsf_run
 from .benchmarks import greedy_benchmark
 from .slotted import SlottedApp, slotted_schedule
 from .simulator import (

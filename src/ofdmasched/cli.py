@@ -15,7 +15,8 @@ import dataclasses
 import json
 import sys
 
-from .experiment import CSV_HEADER, SCHEDULERS, ExperimentConfig, compare, run
+from .experiment import CSV_HEADER, ExperimentConfig, compare, run
+from .simulator import SCHEDULERS
 from .workload import USE_CASES
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))

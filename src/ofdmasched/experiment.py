@@ -19,23 +19,21 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .local_search import default_grid_us
+from .local_search import resolve_grid_us
 from .phy import CHANNEL_WIDTHS
 from .scheduling import DEFAULT_TXOP_US, Schedule, dump_schedule
 from .simulator import (
     CHANNEL_QUALITIES,
+    GRID_SCHEDULERS,
+    SCHEDULERS,
     ChannelScenario,
     SimulationReport,
     run_scenario,
-    scheduler_registry,
 )
 from .workload import USE_CASES, JobSet, dump_jobs, load_use_case
 
-__all__ = ["SCHEDULERS", "CSV_HEADER", "ExperimentConfig", "MetricsRow", "run", "compare"]
+__all__ = ["CSV_HEADER", "ExperimentConfig", "MetricsRow", "run", "compare"]
 
-SCHEDULERS = tuple(scheduler_registry())
-# the schedulers that try intervals on a time grid
-_GRID_SCHEDULERS = ("lsds", "lsdsf")
 CSV_HEADER = ("use_case,scheduler,bandwidth_mhz,channel,seed,"
               "profit_ratio,drop_pct,critical_drop_pct,runtime_ms")
 _TYPES = {"int": int, "str": str, "bool": bool}
@@ -66,7 +64,7 @@ class ExperimentConfig:
         if self.use_case not in USE_CASES:
             raise ValueError(f"unknown use case {self.use_case}; choose from {USE_CASES}")
         if self.scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {self.scheduler}; choose from {SCHEDULERS}")
+            raise ValueError(f"unknown scheduler {self.scheduler}; choose from {tuple(SCHEDULERS)}")
         if self.bandwidth_mhz not in CHANNEL_WIDTHS:
             raise ValueError(f"bandwidth must be one of {CHANNEL_WIDTHS} MHz")
         if self.channel not in CHANNEL_QUALITIES:
@@ -76,19 +74,15 @@ class ExperimentConfig:
         if self.grid_us is not None and self.grid_us <= 0:
             raise ValueError(f"grid_us must be positive, got {self.grid_us}")
         phy = ChannelScenario(self.channel).phy()
-        if self.scheduler in _GRID_SCHEDULERS:
-            grid = self.grid_us or default_grid_us(phy)
-            for name, span in (("horizon", self.horizon_us), ("txop", self.txop_us)):
-                if span < grid:
-                    raise ValueError(f"{name} {span} us is shorter than one "
-                                     f"grid step of {grid} us")
+        if self.scheduler in GRID_SCHEDULERS:
+            resolve_grid_us(self.grid_us, phy, self.horizon_us, self.txop_us)
         if self.txop_us * 1_000 < phy.symbol_duration_ns:
             raise ValueError(f"txop {self.txop_us} us is shorter than one OFDM symbol "
                              f"({phy.symbol_duration_ns} ns)")
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
-                "A bandwidth of 40 MHz cannot handle this much load: UC3 is sized "
-                "for 160 MHz. Pass --bandwidth 160, or --force to run anyway.")
+                f"A bandwidth of {self.bandwidth_mhz} MHz cannot handle this much load: "
+                "UC3 is sized for 160 MHz. Pass --bandwidth 160, or --force to run anyway.")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ The scheduler walks every interval length 1..txop and every start on a
 coarse time grid, computes the best admissible job set for the interval,
 and commits it iff its profit strictly exceeds twice the profit of the
 already-committed batches it conflicts with (evicting those).
+``lsds_run`` also picks each batch's RU configuration and ``lsdsf_run``
+keeps one machine set; both return the run's ``LocalSearchStats`` too.
 
 The per-interval subproblem is a maximum weight bipartite matching, but
 the instances here have special structure: edge weights depend only on
@@ -99,9 +101,8 @@ __all__ = [
     "pick_jobs",
     "lsds_config_search",
     "default_grid_us",
-    "lsdsf",
+    "resolve_grid_us",
     "lsdsf_run",
-    "lsds",
     "lsds_run",
     "DEFAULT_TXOP_US",
 ]
@@ -121,6 +122,18 @@ def default_grid_us(phy: PhyProfile) -> int:
     """Smallest multiple of the OFDM symbol >= 100 us, in microseconds."""
     sym_ns = phy.symbol_duration_ns
     return -(-100_000 // sym_ns) * sym_ns // 1000
+
+
+def resolve_grid_us(grid_us: int | None, phy: PhyProfile, horizon: int, txop: int) -> int:
+    """``grid_us``, or the PHY's default grid when None; ``ValueError`` unless
+    it is positive and fits in the horizon and the TXOP."""
+    grid_us = default_grid_us(phy) if grid_us is None else grid_us
+    if grid_us <= 0:
+        raise ValueError(f"grid_us must be positive, got {grid_us}")
+    for name, span in (("horizon", horizon), ("txop", txop)):
+        if span < grid_us:
+            raise ValueError(f"{name} {span} us is shorter than one grid step of {grid_us} us")
+    return grid_us
 
 
 @dataclass
@@ -296,17 +309,12 @@ class _Engine:
     Row i of ``counts`` is configuration ``configs[i]``'s RU count per
     class of ``classes`` (ascending); ``machines(i)`` is its machine list,
     widest RU first. Only classes that some row gives a nonzero count
-    take part in the search.
+    take part in the search. ``run`` returns the schedule and its stats.
     """
 
     def __init__(self, jobset, txop, grid_us, phy, classes, configs, counts, machines):
-        if grid_us <= 0:
-            raise ValueError(f"grid_us must be positive, got {grid_us}")
-        if txop < grid_us:
-            raise ValueError("txop shorter than one grid step")
-        if jobset.horizon < grid_us:
-            raise ValueError(f"horizon {jobset.horizon} us is shorter than one "
-                             f"grid step of {grid_us} us")
+        grid_us = resolve_grid_us(grid_us, phy, jobset.horizon, txop)
+        self.jobset = jobset
         self.horizon = jobset.horizon
         self.grid = grid_us
         self.t_units = self.horizon // grid_us
@@ -641,24 +649,13 @@ class _Engine:
                     lo, block = idx + 1, _BLOCK
                 hi = min(n, lo + block)
                 block *= 2
-
-    def schedule(self, jobset):
-        profit_of = {j.id: j.profit for j in jobset.jobs}
+        profit_of = {j.id: j.profit for j in self.jobset.jobs}
         batches = [
             Batch(interval=Interval(t1, t2), assignments=tuple(sorted(b.assignments)),
                   machines=tuple(self.machines(b.row)), config=self.configs[b.row])
             for t1, t2, b in zip(self.starts, self.ends, self.batches)
         ]
-        return make_schedule(batches, profit_of)
-
-
-def _check_machines(machines):
-    if not machines:
-        raise ValueError("empty machine set")
-    phys = {m.phy for m in machines}
-    if len(phys) != 1:
-        raise ValueError("machines must share one PHY profile")
-    return next(iter(phys))
+        return make_schedule(batches, profit_of), self.stats
 
 
 def lsdsf_run(
@@ -669,19 +666,17 @@ def lsdsf_run(
     config: RuConfiguration | None = None,
 ) -> tuple[Schedule, LocalSearchStats]:
     """Local-search scheduler over a fixed machine (RU) configuration."""
-    phy = _check_machines(machines)
-    grid_us = default_grid_us(phy) if grid_us is None else grid_us
+    if not machines:
+        raise ValueError("empty machine set")
+    phy, *others = {m.phy for m in machines}
+    if others:
+        raise ValueError("machines must share one PHY profile")
     classes = sorted({m.tone_class for m in machines})
     counts = np.array([[sum(1 for m in machines if m.tone_class == c) for c in classes]],
                       dtype=np.int64)
     ordered = tuple(sorted(machines, key=lambda m: (-int(m.tone_class), m.id)))
     engine = _Engine(jobs, txop, grid_us, phy, classes, (config,), counts, lambda row: ordered)
-    engine.run()
-    return engine.schedule(jobs), engine.stats
-
-
-def lsdsf(jobs, machines, txop=DEFAULT_TXOP_US, grid_us=None, config=None) -> Schedule:
-    return lsdsf_run(jobs, machines, txop, grid_us, config)[0]
+    return engine.run()
 
 
 def lsds_run(
@@ -693,13 +688,7 @@ def lsds_run(
 ) -> tuple[Schedule, LocalSearchStats]:
     """Local-search scheduler that also picks each batch's RU configuration."""
     phy = phy or PhyProfile()
-    grid_us = default_grid_us(phy) if grid_us is None else grid_us
     table = config_table(channel_width)
     engine = _Engine(jobs, txop, grid_us, phy, TONE_CLASSES, table.configs, table.counts,
                      lambda row: table.machines(row, phy))
-    engine.run()
-    return engine.schedule(jobs), engine.stats
-
-
-def lsds(jobs, channel_width, phy=None, txop=DEFAULT_TXOP_US, grid_us=None) -> Schedule:
-    return lsds_run(jobs, channel_width, phy, txop, grid_us)[0]
+    return engine.run()

@@ -1,4 +1,4 @@
-"""Schedule validation, channel scenarios, and the best-effort overlay.
+"""Scheduler table, schedule validation, channel scenarios, best-effort overlay.
 
 The validator re-derives every feasibility constraint from scratch:
 batch intervals within the TXOP, configurations legal for the channel,
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .benchmarks import greedy_benchmark
-from .local_search import default_grid_us, lsds_config_search, lsds_run, lsdsf_run, pick_jobs
+from .benchmarks import BENCHMARK_KINDS, greedy_benchmark
+from .local_search import lsds_config_search, lsds_run, lsdsf_run, pick_jobs
 from .phy import (
     TONE_CLASSES,
     PhyProfile,
@@ -36,7 +36,7 @@ from .phy import (
     tx_duration,
 )
 from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, conflicts, make_schedule
-from .workload import Job, JobSet
+from .workload import Job, JobSet, _poisson_releases, _station_rng
 
 __all__ = [
     "CHANNEL_QUALITIES",
@@ -46,7 +46,8 @@ __all__ = [
     "BestEffortPacket",
     "validate_schedule",
     "run_scenario",
-    "scheduler_registry",
+    "SCHEDULERS",
+    "GRID_SCHEDULERS",
     "escalate_profit",
     "generate_best_effort",
     "best_effort_overlay",
@@ -160,33 +161,29 @@ class SimulationReport:
             raise ValueError("delivered and dropped overlap")
 
 
-def scheduler_registry():
-    """Name -> callable(jobs, channel_width, phy, txop, grid_us) -> Schedule.
+def _run_lsds(jobs, width, phy, txop, grid_us):
+    return lsds_run(jobs, width, phy, txop=txop, grid_us=grid_us)[0]
 
-    The one list of schedulers that ``run_scenario``, ``experiment`` and
-    the CLI accept.
-    """
 
-    def run_lsds(jobs, width, phy, txop, grid_us):
-        return lsds_run(jobs, width, phy, txop=txop, grid_us=grid_us)[0]
+def _run_lsdsf(jobs, width, phy, txop, grid_us):
+    config = full_26_tone_configuration(width)
+    machines = machines_for_configuration(config, phy)
+    return lsdsf_run(jobs, machines, txop=txop, grid_us=grid_us, config=config)[0]
 
-    def run_lsdsf(jobs, width, phy, txop, grid_us):
-        config = full_26_tone_configuration(width)
-        machines = machines_for_configuration(config, phy)
-        return lsdsf_run(jobs, machines, txop=txop, grid_us=grid_us, config=config)[0]
 
-    def bench(kind):
-        def run(jobs, width, phy, txop, grid_us):
-            return greedy_benchmark(kind, jobs, width, phy, txop=txop)
-        return run
+def _run_benchmark(kind, jobs, width, phy, txop, grid_us):
+    return greedy_benchmark(kind, jobs, width, phy, txop=txop)
 
-    return {
-        "lsds": run_lsds,
-        "lsdsf": run_lsdsf,
-        "edf": bench("edf"),
-        "lrf": bench("lrf"),
-        "nlrf": bench("nlrf"),
-    }
+
+# name -> runner(jobs, channel_width, phy, txop, grid_us) -> Schedule; the runners
+# reach the schedulers through this module's globals, which tracing wraps.
+SCHEDULERS = {
+    "lsds": _run_lsds,
+    "lsdsf": _run_lsdsf,
+    **{kind: partial(_run_benchmark, kind) for kind in BENCHMARK_KINDS},
+}
+# the schedulers that try intervals on a time grid
+GRID_SCHEDULERS = ("lsds", "lsdsf")
 
 
 def run_scenario(
@@ -203,14 +200,12 @@ def run_scenario(
     scheduler runs; its schedule is validated and any violation is a
     hard error (schedulers must emit feasible schedules by contract).
     """
-    registry = scheduler_registry()
-    if scheduler not in registry:
+    if scheduler not in SCHEDULERS:
         raise ValueError(f"unregistered scheduler: {scheduler}")
     phy = scenario.phy()
-    grid_us = default_grid_us(phy) if grid_us is None else grid_us
     t0 = time.perf_counter()
     try:
-        schedule = registry[scheduler](jobs, channel_width, phy, txop, grid_us)
+        schedule = SCHEDULERS[scheduler](jobs, channel_width, phy, txop, grid_us)
     except Exception as exc:
         raise RuntimeError(f"scheduler {scheduler} failed: {exc}") from exc
     runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -270,16 +265,9 @@ def generate_best_effort(
         return []
     rate_per_node = mean_load_mbps * 1e6 / (size * 8) / BEST_EFFORT_NODES  # packets per second
     mean_us = 1e6 / rate_per_node
-    arrivals = []
-    for node in range(BEST_EFFORT_NODES):
-        rng = random.Random(f"{seed}:best-effort:{node}")
-        t = 0.0
-        while True:
-            t += -mean_us * math.log(1.0 - rng.random())
-            arrival = int(t)
-            if arrival >= horizon:
-                break
-            arrivals.append(arrival)
+    arrivals = [arrival for node in range(BEST_EFFORT_NODES)
+                for arrival in _poisson_releases(_station_rng(seed, "best-effort", node),
+                                                 mean_us, horizon)]
     return [BestEffortPacket(i, arrival, size, BEST_EFFORT_PROFIT)
             for i, arrival in enumerate(sorted(arrivals))]
 

@@ -16,8 +16,8 @@ from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
 from ofdmasched.phy import PhyProfile
 from ofdmasched.phy import CHANNEL_WIDTHS
 from ofdmasched.scheduling import dump_schedule, parse_schedule
-from ofdmasched.simulator import (CHANNEL_QUALITIES, ChannelScenario, run_scenario,
-                                  scheduler_registry, validate_schedule)
+from ofdmasched.simulator import (CHANNEL_QUALITIES, SCHEDULERS, ChannelScenario,
+                                  run_scenario, validate_schedule)
 from ofdmasched.workload import USE_CASES, load_use_case
 
 
@@ -57,9 +57,12 @@ def test_same_seed_rows_identical_except_runtime(tmp_path):
 
 
 def test_uc3_refused_at_40mhz_without_force():
-    with pytest.raises(ValueError, match="cannot handle this much load"):
-        ExperimentConfig("UC3", "lsds", bandwidth_mhz=40).validate()
-    ExperimentConfig("UC3", "lsds", bandwidth_mhz=40, force=True).validate()
+    # the refusal names the configured width, at every width below 160 MHz
+    for width in (20, 40, 80):
+        with pytest.raises(ValueError, match=f"A bandwidth of {width} MHz cannot handle "
+                                             "this much load"):
+            ExperimentConfig("UC3", "lsds", bandwidth_mhz=width).validate()
+        ExperimentConfig("UC3", "lsds", bandwidth_mhz=width, force=True).validate()
     ExperimentConfig("UC3", "lsds", bandwidth_mhz=160).validate()
 
 
@@ -119,7 +122,7 @@ def test_cli_scheduler_choices_are_the_registry(capsys):
         main(["run", "--help"])
     usage = capsys.readouterr().out
     choices = usage.split("--scheduler {", 1)[1].split("}", 1)[0].split(",")
-    assert choices == list(scheduler_registry())
+    assert choices == list(SCHEDULERS)
 
 
 @pytest.mark.parametrize("grid_us", [0, -16])
@@ -290,7 +293,7 @@ def test_parse_schedule_names_the_bad_line(text, where):
     assert str(info.value).startswith(where)
 
 
-@pytest.mark.parametrize("scheduler", sorted(scheduler_registry()))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_every_dumped_schedule_parses_back(scheduler):
     jobs = load_use_case("UC2", 10_000, seed=1)
     _, schedule = run_scenario(jobs, scheduler, ChannelScenario("ideal"), 40)
@@ -309,7 +312,7 @@ _ANY_JSON = st.one_of(
 # type that are out of range (None where every value of the type is valid)
 _CONFIG_VALUES = {
     "use_case": (st.sampled_from(USE_CASES), st.sampled_from(["UC9", "uc4", ""])),
-    "scheduler": (st.sampled_from(tuple(scheduler_registry())),
+    "scheduler": (st.sampled_from(tuple(SCHEDULERS)),
                   st.sampled_from(["slotted_optimal", "EDF"])),
     "bandwidth_mhz": (st.sampled_from(CHANNEL_WIDTHS), st.sampled_from([0, -40, 30])),
     "channel": (st.sampled_from(CHANNEL_QUALITIES), st.just("bad")),

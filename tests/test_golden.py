@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ofdmasched.local_search import lsds
+from ofdmasched.local_search import lsds_run
 from ofdmasched.phy import PhyProfile, full_26_tone_configuration
 from ofdmasched.scheduling import dump_schedule
 from ofdmasched.simulator import (
@@ -140,7 +140,7 @@ def test_overlay_schedule_bytes(use_case):
     horizon, load, size, want = OVERLAYS[use_case]
     jobs = load_use_case(use_case, horizon, seed=1)
     packets = generate_best_effort(load, horizon, seed=3, size=size)
-    out, _, _ = best_effort_overlay(lsds(jobs, 40, PHY), jobs, packets, 40, PHY)
+    out, _, _ = best_effort_overlay(lsds_run(jobs, 40, PHY)[0], jobs, packets, 40, PHY)
     assert digest(out) == want
 
 

@@ -12,10 +12,8 @@ from ofdmasched.local_search import (
     _eval_configs,
     _greedy,
     _suffix,
-    lsds,
     lsds_config_search,
     lsds_run,
-    lsdsf,
     lsdsf_run,
 )
 from ofdmasched.phy import (
@@ -85,7 +83,7 @@ def test_swap_requires_strictly_more_than_double():
             Job(id=0, station=0, release=0, deadline_abs=16, profit=10.0, size=20),
             Job(id=1, station=1, release=0, deadline_abs=32, profit=second_profit, size=40),
         ), horizon=32, seed=0)
-        return lsdsf(jobs, [machine(RuToneClass.RU26, 0)], txop=32, grid_us=16)
+        return lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=32, grid_us=16)[0]
 
     s = run(20.0)
     assert s.scheduled_jobs == {0}  # 20 > 2*10 is false
@@ -179,8 +177,8 @@ def test_deterministic_across_runs():
     rng = random.Random(8)
     jobset = micro_instance(rng, max_jobs=6)
     machines = small_machine_set(rng)
-    a = lsdsf(jobset, machines, txop=64, grid_us=16)
-    b = lsdsf(jobset, machines, txop=64, grid_us=16)
+    a = lsdsf_run(jobset, machines, txop=64, grid_us=16)[0]
+    b = lsdsf_run(jobset, machines, txop=64, grid_us=16)[0]
     assert a == b
 
 
@@ -208,10 +206,10 @@ def test_lsds_beats_fixed_configs_on_micro_suite():
     for _ in range(20):
         jobset = generic_micro_instance(rng, max_jobs=5)
         txop = 16 * rng.randint(2, 3)
-        lsds_schedule = lsds(jobset, 20, phy, txop=txop, grid_us=16)
+        lsds_schedule = lsds_run(jobset, 20, phy, txop=txop, grid_us=16)[0]
         for config in enumerate_configurations(20):
             machines = machines_for_configuration(config, phy)
-            fixed = lsdsf(jobset, machines, txop=txop, grid_us=16, config=config)
+            fixed = lsdsf_run(jobset, machines, txop=txop, grid_us=16, config=config)[0]
             comparisons += 1
             if lsds_schedule.total_profit < fixed.total_profit - 1e-9:
                 violations += 1
@@ -220,7 +218,7 @@ def test_lsds_beats_fixed_configs_on_micro_suite():
 
 def test_empty_jobset_gives_empty_schedule():
     jobs = JobSet(jobs=(), horizon=192, seed=0)
-    schedule = lsdsf(jobs, [machine(RuToneClass.RU26, 0)], txop=64, grid_us=16)
+    schedule = lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=64, grid_us=16)[0]
     assert schedule.batches == ()
     assert schedule.total_profit == 0
 
@@ -238,10 +236,10 @@ def test_degenerate_search_space_reduces_to_fixed_config():
         for i in range(4)
     )
     jobset = JobSet(jobs=jobs, horizon=4_000, seed=0)
-    searched = lsds(jobset, 20, phy, txop=512, grid_us=16)
+    searched = lsds_run(jobset, 20, phy, txop=512, grid_us=16)[0]
     root = enumerate_configurations(20)[0]  # {1x242}
     machines = machines_for_configuration(root, phy)
-    fixed = lsdsf(jobset, machines, txop=512, grid_us=16, config=root)
+    fixed = lsdsf_run(jobset, machines, txop=512, grid_us=16, config=root)[0]
     assert searched.total_profit == fixed.total_profit
     assert searched.scheduled_jobs == fixed.scheduled_jobs
     assert all(b.config.counts == root.counts for b in searched.batches)
@@ -268,6 +266,17 @@ def test_horizon_shorter_than_one_grid_step_rejected(scheduler):
             lsds_run(jobs, 20, PHY0, txop=4_000, grid_us=112)
         else:
             lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=4_000, grid_us=112)
+
+
+@pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
+def test_txop_shorter_than_one_grid_step_rejected(scheduler):
+    # the engine names the TXOP and the grid step, as the CLI does
+    jobs = load_use_case("UC4", 20_000, 1)
+    with pytest.raises(ValueError, match="txop 100 us is shorter than one grid step of 112 us"):
+        if scheduler == "lsds":
+            lsds_run(jobs, 40, txop=100)
+        else:
+            lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=100)
 
 
 def test_lsds_rejects_unsupported_width():

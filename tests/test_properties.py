@@ -1,4 +1,5 @@
-"""Properties every registered scheduler keeps on random small job sets.
+"""Properties every scheduler of the table, and the best-effort overlay
+on its schedule, keep on random small job sets.
 
 Each station's jobs are split between two applications, which the
 per-application bookkeeping of nlrf has to follow job by job.
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from ofdmasched.phy import CHANNEL_WIDTHS
 from ofdmasched.scheduling import dump_schedule, parse_schedule
-from ofdmasched.simulator import (CHANNEL_QUALITIES, ChannelScenario, run_scenario,
-                                  scheduler_registry, validate_schedule)
+from ofdmasched.simulator import (CHANNEL_QUALITIES, SCHEDULERS, BestEffortPacket,
+                                  ChannelScenario, best_effort_overlay, run_scenario,
+                                  validate_schedule)
 from ofdmasched.workload import Job, JobSet
 
 # one station whose two jobs belong to two applications
@@ -49,13 +51,52 @@ def test_every_scheduler_validates_round_trips_and_accounts_for_every_job(
     scenario = ChannelScenario(quality)
     phy = scenario.phy()
     profits = {j.id: j.profit for j in jobs.jobs}
-    for name in scheduler_registry():
+    for name in SCHEDULERS:
         report, schedule = run_scenario(jobs, name, scenario, width, txop, grid_us)
         assert validate_schedule(schedule, jobs, width, phy, txop) == []
         text = dump_schedule(schedule)
         assert dump_schedule(parse_schedule(text, profits, width, phy)) == text
         # the report keeps delivered and dropped disjoint
         assert report.delivered | report.dropped == profits.keys()
+
+
+@st.composite
+def overlay_cases(draw):
+    """A factory job set and up to 15 best-effort packets arriving before its horizon."""
+    jobs = draw(job_sets())
+    packets = [BestEffortPacket(i, draw(st.integers(0, jobs.horizon - 1)),
+                                draw(st.integers(1, 2_000)), draw(st.floats(0.01, 50.0)))
+               for i in range(draw(st.integers(0, 15)))]
+    return jobs, packets
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay_cases(), st.sampled_from(tuple(SCHEDULERS)), st.sampled_from(CHANNEL_WIDTHS),
+       st.sampled_from(CHANNEL_QUALITIES), st.integers(112, 4_000))
+def test_overlay_keeps_factory_traffic_and_validates_on_the_union(
+        case, name, width, quality, txop):
+    jobs, packets = case
+    scenario = ChannelScenario(quality)
+    phy = scenario.phy()
+    _, base = run_scenario(jobs, name, scenario, width, txop, 112)
+    out, satisfaction, airtime = best_effort_overlay(base, jobs, packets, width, phy, txop)
+
+    factory_ids = {j.id for j in jobs.jobs}
+
+    def factory_assignments(schedule):
+        return {(b.interval, job, m)
+                for b in schedule.batches for job, m in b.assignments if job in factory_ids}
+
+    # C8: the overlay never moves or drops factory traffic
+    assert factory_assignments(out) == factory_assignments(base)
+    first = max(factory_ids, default=-1) + 1
+    be_jobs = tuple(Job(id=first + p.id, station=-1, release=p.arrival_us,
+                        deadline_abs=jobs.horizon, profit=p.profit, size=p.size)
+                    for p in packets)
+    union = JobSet(jobs=jobs.jobs + be_jobs, horizon=jobs.horizon, seed=jobs.seed)
+    assert validate_schedule(out, union, width, phy, txop) == []
+    assert 0.0 <= satisfaction <= 1.0
+    assert 0.0 <= airtime <= 1.0
 
 
 def test_run_writes_the_same_schedule_under_any_hash_seed(tmp_path):

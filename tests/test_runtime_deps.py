@@ -16,14 +16,14 @@ NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 import ofdmasched
-from ofdmasched import PhyProfile, load_use_case, lsds, validate_schedule
+from ofdmasched import PhyProfile, load_use_case, lsds_run, validate_schedule
 from ofdmasched.phy import full_26_tone_configuration
 from ofdmasched.simulator import best_effort_overlay, generate_best_effort
 from ofdmasched.slotted import SlottedApp, slotted_schedule
 
 phy = PhyProfile()
 jobs = load_use_case("UC4", 20_000, seed=1)
-schedule = lsds(jobs, 40, phy)
+schedule, _ = lsds_run(jobs, 40, phy)
 assert validate_schedule(schedule, jobs, 40, phy, 4_000) == []
 packets = generate_best_effort(20.0, jobs.horizon, seed=1)
 _, satisfaction, _ = best_effort_overlay(schedule, jobs, packets, 40, phy)

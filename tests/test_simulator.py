@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from ofdmasched import benchmarks, local_search, scheduling, simulator
-from ofdmasched.local_search import lsds
+from ofdmasched.local_search import lsds_run
 from ofdmasched.phy import (
     Machine,
     PhyProfile,
@@ -47,7 +47,7 @@ def small_jobset():
 
 def test_scheduler_output_validates_clean():
     js = load_use_case("UC4", 100_000, seed=3)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     assert validate_schedule(schedule, js, 40, PHY, 4_000) == []
 
 
@@ -93,7 +93,7 @@ def test_txop_conflict_and_job_reuse_detected():
 @pytest.fixture(scope="module")
 def uc4_batches():
     js = load_use_case("UC4", 20_000, seed=1)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     assert validate_schedule(schedule, js, 40, PHY, 4_000) == []
     return js, list(schedule.batches)
 
@@ -174,7 +174,7 @@ def test_validator_checks_every_ru_against_the_channel_phy():
     # the ideal-channel schedule does not fit a very poor channel, whose
     # durations at MCS 0 are many times longer
     js = load_use_case("UC4", 50_000, seed=1)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     violations = validate_schedule(schedule, js, 40, ChannelScenario("very_poor").phy(), 4_000)
     phy_violations = [v for v in violations if v.startswith("phy: ")]
     assert len(phy_violations) == sum(len(b.assignments) for b in schedule.batches)
@@ -229,7 +229,7 @@ def test_escalation_sequence_and_fixed_point():
 
 def test_overlay_zero_load_convention():
     js = load_use_case("UC4", 50_000, seed=2)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     out, satisfaction, utilization = best_effort_overlay(schedule, js, [], 40, PHY)
     assert satisfaction == 1.0
     assert utilization == 0.0
@@ -248,6 +248,15 @@ def test_best_effort_rejects_inputs_whose_arrivals_never_end(size, load, message
         generate_best_effort(load, 10_000, seed=1, size=size)
 
 
+def test_best_effort_arrivals_are_pinned():
+    # the three nodes' Poisson streams, merged and numbered in arrival order
+    packets = generate_best_effort(20.0, 10_000, seed=1)
+    assert len(packets) == 13
+    assert [p.arrival_us for p in packets[:8]] == [1233, 2208, 2728, 3977, 4698, 5138,
+                                                   5774, 5944]
+    assert packets[0] == BestEffortPacket(id=0, arrival_us=1233, size=1500, profit=2.0)
+
+
 @pytest.mark.parametrize("load", [0.0, -5.0])
 def test_best_effort_without_load_has_no_packets(load):
     assert generate_best_effort(load, 10_000, seed=1) == []
@@ -255,7 +264,7 @@ def test_best_effort_without_load_has_no_packets(load):
 
 def test_overlay_preserves_factory_assignments():
     js = load_use_case("UC4", 100_000, seed=1)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     packets = generate_best_effort(20.0, js.horizon, seed=4)
     out, satisfaction, utilization = best_effort_overlay(schedule, js, packets, 40, PHY)
 
@@ -276,7 +285,7 @@ def test_overlay_preserves_factory_assignments():
 
 def test_overlay_respects_arrivals_and_batch_feasibility():
     js = load_use_case("UC4", 50_000, seed=7)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     packets = generate_best_effort(10.0, js.horizon, seed=9)
     out, _, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
     by_be_id = {p.id + max(j.id for j in js.jobs) + 1: p for p in packets}
@@ -300,7 +309,7 @@ def _hungarian_config_search(candidates, interval, channel_width, phy):
 ])
 def test_overlay_kernel_matches_hungarian_oracle(monkeypatch, use_case, horizon, load, size):
     js = load_use_case(use_case, horizon, seed=1)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     packets = generate_best_effort(load, js.horizon, seed=3, size=size)
     got, got_sat, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
     monkeypatch.setattr(simulator, "lsds_config_search", _hungarian_config_search)
@@ -317,7 +326,7 @@ def test_overlay_kernel_matches_hungarian_oracle(monkeypatch, use_case, horizon,
 def test_overlay_admits_best_effort_on_free_rus():
     # 300 B packets fit the free RUs left in UC2's factory batches
     js = load_use_case("UC2", 50_000, seed=1)
-    schedule = lsds(js, 40, PHY)
+    schedule = lsds_run(js, 40, PHY)[0]
     packets = generate_best_effort(100.0, js.horizon, seed=1, size=300)
     out, _, _ = best_effort_overlay(schedule, js, packets, 40, PHY)
 
@@ -373,7 +382,7 @@ def test_overlay_free_ru_admission_on_the_kernel():
 def test_overlay_rejects_packet_arriving_at_or_after_horizon(arrival):
     js = JobSet(jobs=(Job(id=0, station=0, release=1_000, deadline_abs=1_400,
                           profit=10.0, size=100),), horizon=10_000, seed=0)
-    base = lsds(js, 20, PHY)
+    base = lsds_run(js, 20, PHY)[0]
     packets = [BestEffortPacket(0, 500, 300, 2.0), BestEffortPacket(7, arrival, 300, 2.0)]
     with pytest.raises(ValueError, match=f"packet 7 arrives at {arrival} us"):
         best_effort_overlay(base, js, packets, 20, PHY)
