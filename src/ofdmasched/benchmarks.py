@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .phy import PhyProfile, class_durations, config_table
-from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, make_schedule
+from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, check_txop, make_schedule
 from .workload import JobSet
 
 __all__ = ["BENCHMARK_KINDS", "greedy_benchmark"]
@@ -102,12 +102,8 @@ def greedy_benchmark(
     """Round-based station-sorting scheduler (EDF, LRF or NLRF)."""
     if kind not in BENCHMARK_KINDS:
         raise ValueError(f"unknown benchmark kind: {kind}")
-    if txop <= 0:
-        raise ValueError(f"txop must be positive, got {txop}")
     phy = phy or PhyProfile()
-    if txop * 1_000 < phy.symbol_duration_ns:
-        raise ValueError(f"txop {txop} us is shorter than one OFDM symbol "
-                         f"({phy.symbol_duration_ns} ns)")
+    check_txop(txop, phy)
     table = config_table(channel_width)
     n_positions = table.class_mat.shape[1]
     fit_groups = {}  # kmin bytes -> _fit_groups, for this run

@@ -20,17 +20,16 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .local_search import resolve_grid_us
-from .phy import CHANNEL_WIDTHS
-from .scheduling import DEFAULT_TXOP_US, Schedule, dump_schedule
+from .phy import root_tones
+from .scheduling import DEFAULT_TXOP_US, Schedule, check_txop, dump_schedule
 from .simulator import (
-    CHANNEL_QUALITIES,
     GRID_SCHEDULERS,
     SCHEDULERS,
     ChannelScenario,
     SimulationReport,
     run_scenario,
 )
-from .workload import USE_CASES, JobSet, dump_jobs, load_use_case
+from .workload import JobSet, dump_jobs, load_use_case, use_case_profiles
 
 __all__ = ["CSV_HEADER", "ExperimentConfig", "MetricsRow", "run", "compare"]
 
@@ -61,24 +60,18 @@ class ExperimentConfig:
             # exact type: a bool is not an int, nor an int a bool
             if not (value is None and optional) and type(value) is not _TYPES[kind]:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.use_case not in USE_CASES:
-            raise ValueError(f"unknown use case {self.use_case}; choose from {USE_CASES}")
+        use_case_profiles(self.use_case)  # owners raise their rules, naming the choices
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler}; choose from {tuple(SCHEDULERS)}")
-        if self.bandwidth_mhz not in CHANNEL_WIDTHS:
-            raise ValueError(f"bandwidth must be one of {CHANNEL_WIDTHS} MHz")
-        if self.channel not in CHANNEL_QUALITIES:
-            raise ValueError(f"channel must be one of {CHANNEL_QUALITIES}")
-        if self.horizon_us <= 0 or self.txop_us <= 0 or self.reps < 1:
-            raise ValueError("horizon, txop and reps must be positive")
+        root_tones(self.bandwidth_mhz)
+        phy = ChannelScenario(self.channel).phy()
+        if self.horizon_us <= 0 or self.reps < 1:
+            raise ValueError("horizon and reps must be positive")
         if self.grid_us is not None and self.grid_us <= 0:
             raise ValueError(f"grid_us must be positive, got {self.grid_us}")
-        phy = ChannelScenario(self.channel).phy()
         if self.scheduler in GRID_SCHEDULERS:
             resolve_grid_us(self.grid_us, phy, self.horizon_us, self.txop_us)
-        if self.txop_us * 1_000 < phy.symbol_duration_ns:
-            raise ValueError(f"txop {self.txop_us} us is shorter than one OFDM symbol "
-                             f"({phy.symbol_duration_ns} ns)")
+        check_txop(self.txop_us, phy)
         if self.use_case == "UC3" and self.bandwidth_mhz < 160 and not self.force:
             raise ValueError(
                 f"A bandwidth of {self.bandwidth_mhz} MHz cannot handle this much load: "
@@ -143,7 +136,7 @@ def _load_jobs(config: ExperimentConfig) -> JobSet:
 
 def _single_run(config: ExperimentConfig,
                 jobs: JobSet) -> tuple[MetricsRow, Schedule, SimulationReport]:
-    with _stage("scheduler"):
+    with _stage(f"scheduler {config.scheduler}"):
         report, schedule = run_scenario(
             jobs, config.scheduler, ChannelScenario(config.channel), config.bandwidth_mhz,
             txop=config.txop_us, grid_us=config.grid_us)

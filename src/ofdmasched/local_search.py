@@ -93,7 +93,7 @@ from .phy import (
     class_durations,
     config_table,
 )
-from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, make_schedule
+from .scheduling import DEFAULT_TXOP_US, Batch, Interval, Schedule, check_txop, make_schedule
 from .workload import Job, JobSet
 
 __all__ = [
@@ -125,7 +125,7 @@ def default_grid_us(phy: PhyProfile) -> int:
 
 
 def resolve_grid_us(grid_us: int | None, phy: PhyProfile, horizon: int, txop: int) -> int:
-    """``grid_us``, or the PHY's default grid when None; ``ValueError`` unless
+    """``grid_us``, or ``default_grid_us`` when None; ``ValueError`` unless
     it is positive and fits in the horizon and the TXOP."""
     grid_us = default_grid_us(phy) if grid_us is None else grid_us
     if grid_us <= 0:
@@ -314,6 +314,7 @@ class _Engine:
 
     def __init__(self, jobset, txop, grid_us, phy, classes, configs, counts, machines):
         grid_us = resolve_grid_us(grid_us, phy, jobset.horizon, txop)
+        check_txop(txop, phy)
         self.jobset = jobset
         self.horizon = jobset.horizon
         self.grid = grid_us

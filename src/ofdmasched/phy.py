@@ -108,7 +108,8 @@ _SPLITS = {
 
 def _check_width(channel_width: int) -> None:
     if channel_width not in CHANNEL_WIDTHS:
-        raise ValueError(f"unsupported channel width: {channel_width} MHz")
+        raise ValueError(f"unsupported channel width: {channel_width} MHz; "
+                         f"choose from {CHANNEL_WIDTHS}")
 
 
 def root_tones(channel_width: int) -> int:

@@ -12,10 +12,17 @@ from dataclasses import dataclass
 from .phy import Machine, PhyProfile, RuConfiguration, config_table, configuration_index
 
 __all__ = ["Interval", "Batch", "Schedule", "conflicts", "dump_schedule", "parse_schedule",
-           "DEFAULT_TXOP_US"]
+           "DEFAULT_TXOP_US", "check_txop"]
 
 # the longest batch every scheduler allows unless told otherwise
 DEFAULT_TXOP_US = 4_000
+
+
+def check_txop(txop: int, phy: PhyProfile) -> None:
+    """``ValueError`` unless the TXOP holds one OFDM symbol, the least a batch carries."""
+    if txop * 1_000 < phy.symbol_duration_ns:
+        raise ValueError(f"txop {txop} us is shorter than one OFDM symbol "
+                         f"({phy.symbol_duration_ns} ns)")
 
 
 @dataclass(frozen=True, order=True)

@@ -90,6 +90,8 @@ class Job(_JobFields):
             raise ValueError(f"job {id}: release {release} >= deadline {deadline_abs}")
         if size <= 0:
             raise ValueError("zero-size payload")
+        if not 0.0 <= profit < math.inf:  # also false for nan
+            raise ValueError(f"job {id}: profit {profit} is not finite and non-negative")
         return tuple.__new__(cls, (id, station, release, deadline_abs, profit, size, critical, app))
 
     @classmethod
@@ -212,7 +214,7 @@ USE_CASES = tuple(_UC_TABLES)
 def use_case_profiles(use_case: str) -> list[ApplicationProfile]:
     """Application profiles of a use case, in table order."""
     if use_case not in _UC_TABLES:
-        raise ValueError(f"unknown use case: {use_case}")
+        raise ValueError(f"unknown use case: {use_case}; choose from {USE_CASES}")
     rows, kind = _UC_TABLES[use_case]
     profiles = []
     for name, rate, size, deadline_ms, profit, nodes in rows:
@@ -277,9 +279,11 @@ def parse_jobs(text: str) -> JobSet:
             f = line.split(maxsplit=7)
             if len(f) < 7:
                 raise ValueError(f"expected at least 7 fields, got {len(f)}")
+            if f[6] not in ("0", "1"):
+                raise ValueError(f"critical must be 0 or 1, got {f[6]}")
             jobs.append(Job(id=int(f[0]), station=int(f[1]), release=int(f[2]),
                             deadline_abs=int(f[3]), profit=float(f[4]),
-                            size=int(f[5]), critical=bool(int(f[6])),
+                            size=int(f[5]), critical=f[6] == "1",
                             app=f[7] if len(f) > 7 else ""))
         except ValueError as exc:
             raise ValueError(f"line {number}: {line!r}: {exc}") from None

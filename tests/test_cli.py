@@ -181,6 +181,15 @@ def test_cli_rejects_txop_under_one_symbol(tmp_path, capsys, scheduler):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_failed_scheduler_stage_names_the_scheduler_once():
+    # validate would refuse this TXOP; the stage still wraps the engine's own message
+    config = ExperimentConfig("UC4", "lsdsf", horizon_us=20_000, txop_us=10, grid_us=1)
+    with pytest.raises(RuntimeError) as info:
+        experiment._single_run(config, load_use_case("UC4", 20_000, 1))
+    assert str(info.value) == ("stage 'scheduler lsdsf' failed: "
+                               "txop 10 us is shorter than one OFDM symbol (16000 ns)")
+
+
 def test_cli_horizon_under_one_grid_step_runs_the_round_schedulers(tmp_path):
     assert main(["run", "--use-case", "UC4", "--scheduler", "edf",
                  "--horizon-us", "100", "--out-dir", str(tmp_path)]) == 0

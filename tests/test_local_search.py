@@ -279,6 +279,19 @@ def test_txop_shorter_than_one_grid_step_rejected(scheduler):
             lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=100)
 
 
+@pytest.mark.parametrize("scheduler", ["lsds", "lsdsf"])
+def test_txop_shorter_than_one_symbol_rejected(scheduler):
+    # a 1 us grid fits a 10 us TXOP, but no 16 us symbol does: the engine
+    # would try every interval, fit nothing and return an empty schedule
+    jobs = JobSet(jobs=tuple(Job(id=i, station=i, release=0, deadline_abs=2_000,
+                                 profit=1.0, size=200) for i in range(3)), horizon=2_000, seed=0)
+    with pytest.raises(ValueError, match="txop 10 us is shorter than one OFDM symbol"):
+        if scheduler == "lsds":
+            lsds_run(jobs, 40, txop=10, grid_us=1)
+        else:
+            lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=10, grid_us=1)
+
+
 def test_lsds_rejects_unsupported_width():
     jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=200,
                             profit=9.0, size=18),), horizon=192, seed=0)

@@ -1,23 +1,25 @@
 """Properties every scheduler of the table, and the best-effort overlay
-on its schedule, keep on random small job sets.
+on its schedule, keep on random small job sets; and properties of the
+two text parsers on lines with one bad token.
 
 Each station's jobs are split between two applications, which the
 per-application bookkeeping of nlrf has to follow job by job.
 """
 
 import os
+import re
 import subprocess
 import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ofdmasched.phy import CHANNEL_WIDTHS
+from ofdmasched.phy import CHANNEL_WIDTHS, PhyProfile, config_table
 from ofdmasched.scheduling import dump_schedule, parse_schedule
 from ofdmasched.simulator import (CHANNEL_QUALITIES, SCHEDULERS, BestEffortPacket,
                                   ChannelScenario, best_effort_overlay, run_scenario,
                                   validate_schedule)
-from ofdmasched.workload import Job, JobSet
+from ofdmasched.workload import Job, JobSet, dump_jobs, parse_jobs
 
 # one station whose two jobs belong to two applications
 TWO_APPS = JobSet((Job(0, 0, 0, 1000, 1.0, 100, app="a"),
@@ -111,3 +113,71 @@ def test_run_writes_the_same_schedule_under_any_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written.append((out / "schedule.txt").read_text())
     assert written[0] == written[1]
+
+
+@st.composite
+def one_bad_token(draw, lines, first=0):
+    """The text of ``lines`` with one token of a line from ``first`` on
+    swapped for a bad one, emptied, or added as an extra field."""
+    lines = list(lines)
+    number = draw(st.integers(first, len(lines) - 1))
+    fields = lines[number].split(" ")
+    token = draw(st.sampled_from(["nan", "inf", "-1", "1e3", ""]))
+    if token and draw(st.booleans()):
+        fields.insert(draw(st.integers(0, len(fields))), token)
+    else:
+        fields[draw(st.integers(0, len(fields) - 1))] = token
+    lines[number] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def job_texts(draw):
+    """A dumped job set with one bad token after the header line."""
+    return draw(one_bad_token(dump_jobs(draw(job_sets().filter(len))).splitlines(), first=1))
+
+
+@st.composite
+def schedule_texts(draw):
+    """A channel width and the text of schedule lines that parse, with one
+    bad token: up to four batches on the width's configurations, each job
+    in one batch."""
+    width = draw(st.sampled_from(CHANNEL_WIDTHS))
+    configs = config_table(width).configs
+    lines, job, t = [], 0, 0
+    for idx in range(draw(st.integers(1, 4))):
+        cfg = draw(st.integers(0, len(configs) - 1))
+        t1 = t + draw(st.integers(0, 50))
+        t = t2 = t1 + draw(st.integers(1, 500))
+        for m in draw(st.sets(st.integers(0, configs[cfg].total_rus - 1), min_size=1, max_size=4)):
+            lines.append(f"{idx} {t1} {t2} {cfg} {job} {m}")
+            job += 1
+    return width, draw(one_bad_token(lines))
+
+
+def assert_parses_back_or_names_a_line(parse, dump, text):
+    try:
+        parsed = parse(text)
+    except ValueError as exc:
+        assert re.match(r"line \d+: ", str(exc)), exc
+        return
+    assert parse(dump(parsed)) == parsed
+
+
+@settings(max_examples=200, deadline=None)
+@given(job_texts())
+@example("0 0 0 100 nan 10 0 a\n")  # nan != nan: it cannot read back equal
+@example("0 0 0 100 inf 10 0 a\n")
+@example("0 0 0 100 1.0 10 -1 a\n")
+def test_parse_jobs_reads_back_its_dump_or_names_the_bad_line(text):
+    assert_parses_back_or_names_a_line(parse_jobs, dump_jobs, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_texts())
+@example((40, "0 0 100 0 0 0\n0 0 100 0 1 1e3\n"))
+def test_parse_schedule_reads_back_its_dump_or_names_the_bad_line(case):
+    width, text = case
+    profits = {job: 1.0 for job in range(text.count("\n"))}
+    assert_parses_back_or_names_a_line(
+        lambda t: parse_schedule(t, profits, width, PhyProfile()), dump_schedule, text)

@@ -208,6 +208,14 @@ def test_run_scenario_conservation_and_registry():
         run_scenario(js, "nope", ChannelScenario("ideal"), 40)
 
 
+def test_run_scenario_passes_the_schedulers_value_error_through():
+    # the scheduler's own message reaches the caller, not a RuntimeError
+    # that wraps it
+    js = load_use_case("UC4", 20_000, seed=1)
+    with pytest.raises(ValueError, match="shorter than one OFDM symbol"):
+        run_scenario(js, "lsds", ChannelScenario("ideal"), 40, txop=10, grid_us=1)
+
+
 def test_duration_weakly_increases_as_mcs_drops():
     for cls in RuToneClass:
         durations = [tx_duration_us(300, cls, PhyProfile(mcs=m)) for m in range(12)]

@@ -153,6 +153,7 @@ def test_jobs_round_trip_without_app():
      "line 4: '1 0 x 100 1.0 10 0 a': invalid literal"),
     ("# horizon_us\n", "line 1: '# horizon_us':"),
     ("0 0 50 50 1.0 10 0 a", "line 1: '0 0 50 50 1.0 10 0 a': job 0: release 50 >= deadline 50"),
+    ("0 0 0 100 1.0 10 2 a", "line 1: '0 0 0 100 1.0 10 2 a': critical must be 0 or 1, got 2"),
 ])
 def test_parse_jobs_names_the_bad_line(text, where):
     with pytest.raises(ValueError) as info:
@@ -215,6 +216,9 @@ def test_job_pickle_round_trip():
     (dict(release=50), "job 3: release 50 >= deadline 50"),
     (dict(deadline_abs=9), "job 3: release 10 >= deadline 9"),
     (dict(size=0), "zero-size payload"),
+    (dict(profit=math.nan), "job 3: profit nan is not finite and non-negative"),
+    (dict(profit=math.inf), "job 3: profit inf is not finite and non-negative"),
+    (dict(profit=-5.0), "job 3: profit -5.0 is not finite and non-negative"),
 ])
 def test_job_checks_hold_on_every_constructor(bad, message):
     fields = {**JOB_FIELDS, **bad}
