@@ -14,6 +14,13 @@ clipped the deadline. NLRF divides that ratio by
 (transmitted+1)/(generated+1), tracked per application, so starved
 applications drift upward. Ties break by station id.
 
+Waking stations. A station whose head-of-line packet is released is
+awake; every other station sleeps in a heap keyed by (release of its
+head, station), so a round touches only the awake stations and the
+sleepers its time has reached. A station is awake or asleep, never both.
+When no head can go, the run waits for the earliest of the heap's top and
+the awake heads' deadlines.
+
 Scoring a round. RU durations never grow as the tone class widens, so
 head p fits the RU at its position exactly when that RU's class is
 ``kmin[p]`` or wider, where ``kmin[p]`` is the narrowest class whose
@@ -22,15 +29,21 @@ its RUs widest first, so it fits the heads of class k that sit before
 position ``ConfigTable.suffix[row, k]``, its count of RUs of class k
 or wider. Configurations that fit as many heads of each class fit the
 same heads and score the same; ``_fit_groups`` finds these groups once
-per run for each ``kmin`` vector. A round then sums one row per group,
-head by head in position order as a configurations x positions matrix
-would, so any float profits give the same sums as summing every row.
+per run for each ``kmin`` vector. A round then sums one row per group
+exactly as numpy sums the rows of a configurations x positions matrix,
+so any float profits give the same sums as summing every row: below
+eight heads numpy adds head by head in position order, which plain
+Python does faster; from eight heads on numpy sums pairwise, so the
+round keeps numpy's row reduction there.
 Tie rule: the first configuration (in ``enumerate_configurations``
 order) with the maximum round profit wins; it is the first row of the
 first best group.
 """
 
 from __future__ import annotations
+
+import heapq
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -42,11 +55,14 @@ __all__ = ["BENCHMARK_KINDS", "greedy_benchmark"]
 
 BENCHMARK_KINDS = ("edf", "lrf", "nlrf")
 
+# fewest heads at which numpy's row sum stops adding in position order
+_PAIRWISE_HEADS = 8
+
 
 class _Station:
     """One station's jobs in release order, with their releases and
-    deadlines copied to plain lists: every round reads them, and a list
-    item reads faster than a ``Job`` field."""
+    deadlines copied to plain lists: a list item reads faster than a
+    ``Job`` field."""
 
     def __init__(self, station: int, queue: list):
         self.station = station
@@ -56,18 +72,12 @@ class _Station:
         self.head = 0
 
     def pending(self, now):
+        """The released head at ``now``, after dropping expired jobs."""
         deadlines = self.deadlines
         while self.head < len(deadlines) and deadlines[self.head] <= now:
             self.head += 1  # expired
         if self.head < len(deadlines) and self.releases[self.head] <= now:
             return self.queue[self.head]
-        return None
-
-    def next_event(self, now):
-        """Earliest future time at which this station's state can change."""
-        for i in range(self.head, len(self.deadlines)):
-            if self.deadlines[i] > now:
-                return self.releases[i] if self.releases[i] > now else self.deadlines[i]
         return None
 
     def pop(self):
@@ -106,18 +116,25 @@ def greedy_benchmark(
     check_txop(txop, phy)
     table = config_table(channel_width)
     n_positions = table.class_mat.shape[1]
-    fit_groups = {}  # kmin bytes -> _fit_groups, for this run
+    # kmin -> each group's first row, its fit mask over the heads and,
+    # below _PAIRWISE_HEADS heads, its fitted positions; for this run
+    fit_groups = {}
+    durations = {}  # size -> class durations, and the same negated for bisect
 
     queues: dict[int, list] = {}
+    app_releases: dict[str, list] = {}
     for job in jobs.jobs:
         queues.setdefault(job.station, []).append(job)
-    station_list = [_Station(s, sorted(queues[s], key=lambda j: (j.release, j.id)))
-                    for s in sorted(queues)]
-
-    apps = sorted({j.app for j in jobs.jobs})
-    app_releases = {a: np.array(sorted(j.release for j in jobs.jobs if j.app == a))
-                    for a in apps}
-    transmitted = {a: 0 for a in apps}
+        app_releases.setdefault(job.app, []).append(job.release)
+    asleep = []  # (release of the head, station id, station)
+    for s, queue in queues.items():
+        st = _Station(s, sorted(queue, key=lambda j: (j.release, j.id)))
+        asleep.append((st.releases[0], s, st))
+    heapq.heapify(asleep)
+    awake = []
+    for releases in app_releases.values():
+        releases.sort()
+    transmitted = dict.fromkeys(app_releases, 0)
 
     def metric(job, now):
         if kind == "edf":
@@ -125,58 +142,89 @@ def greedy_benchmark(
         ratio = job.profit / (job.deadline_abs - job.release)
         if kind == "lrf":
             return -ratio
-        generated = int(app_releases[job.app].searchsorted(now, side="right"))
+        generated = bisect_right(app_releases[job.app], now)
         starvation = (transmitted[job.app] + 1) / (generated + 1)
         return -ratio / starvation
 
     batches = []
     now = 0
     while now < jobs.horizon:
+        while asleep and asleep[0][0] <= now:
+            awake.append(heapq.heappop(asleep)[2])
         heads = []
-        for st in station_list:
+        for st in awake:
             job = st.pending(now)
             if job is not None:
                 heads.append((metric(job, now), st.station, st, job))
+            elif st.head < len(st.queue):
+                heapq.heappush(asleep, (st.releases[st.head], st.station, st))
+        awake = [h[2] for h in heads]
+        best = 0.0
         if heads:
-            heads.sort(key=lambda h: (h[0], h[1]))
-            front = [h[3] for h in heads[:n_positions]]
-            dur = np.array([class_durations(j.size, phy) for j in front], dtype=np.int64)
-            limit = np.array([min(txop, j.deadline_abs - now) for j in front], dtype=np.int64)
-            profit = np.array([j.profit for j in front])
-            # durations never grow with the class, so head p fits exactly
-            # the classes from kmin[p] up (kmin == 6: none of them)
-            kmin = (dur > limit[:, None]).sum(axis=1)
-            groups = fit_groups.get(kmin.tobytes())
+            heads.sort()  # by (metric, station): station ids are unique
+            front = heads[:n_positions]
+            dur = []
+            kmin = []
+            for h in front:
+                job = h[3]
+                d = durations.get(job.size)
+                if d is None:
+                    full = class_durations(job.size, phy)
+                    d = durations[job.size] = (full, tuple(-x for x in full))
+                dur.append(d[0])
+                # durations never grow with the class, so head p fits exactly
+                # the classes from kmin[p] up (kmin == 6: none of them)
+                kmin.append(bisect_left(d[1], -min(txop, job.deadline_abs - now)))
+            kmin = tuple(kmin)
+            groups = fit_groups.get(kmin)
             if groups is None:
-                groups = fit_groups[kmin.tobytes()] = _fit_groups(table, kmin)
-            rows, ok = groups
+                rows, ok = _fit_groups(table, np.array(kmin))
+                fits = None
+                if len(kmin) < _PAIRWISE_HEADS:
+                    fits = [np.flatnonzero(r).tolist() for r in ok]
+                groups = fit_groups[kmin] = (rows.tolist(), ok, fits)
+            rows, ok, fits = groups
+            profit = [h[3].profit for h in front]
             # each group's first row, summed as summing every row would;
             # the first row of the first best group is the first best row
-            round_profit = (ok * profit[None, :]).sum(axis=1)
-            best = float(round_profit.max())
-        if not heads or best <= 0:
+            if fits is not None:
+                # a plain loop, not sum(): from Python 3.12 sum() compensates
+                # float rounding, and numpy's left fold does not
+                for first, fit in zip(rows, fits):
+                    total = 0.0
+                    for p in fit:
+                        total += profit[p]
+                    if total > best:
+                        best, row, fitted = total, first, fit
+            else:
+                round_profit = (ok * np.array(profit)[None, :]).sum(axis=1)
+                best = float(round_profit.max())
+                group = int(np.argmax(round_profit == best))  # canonical tie-break
+                row, fitted = rows[group], np.flatnonzero(ok[group]).tolist()
+        if best <= 0:
             # nothing can go now: wait for the next arrival or expiry
-            events = [e for e in (st.next_event(now) for st in station_list) if e is not None]
+            events = [h[3].deadline_abs for h in heads]
+            if asleep:
+                events.append(asleep[0][0])
             if not events:
                 break
             now = min(events)
             continue
 
-        group = int(np.argmax(round_profit == best))  # canonical tie-break
-        cfg_idx = int(rows[group])
-        fits = np.flatnonzero(ok[group])
+        classes = table.class_mat[row, :len(front)].tolist()
         assignments = []
-        for pos in fits:
-            st, job = heads[pos][2], heads[pos][3]
-            st.pop()
+        longest = 0
+        for p in fitted:
+            job = front[p][2].pop()
             transmitted[job.app] += 1
-            assignments.append((job.id, int(pos)))
-        end = now + int(dur[fits, table.class_mat[cfg_idx, fits]].max())
+            assignments.append((job.id, p))
+            longest = max(longest, dur[p][classes[p]])
+        end = now + longest
         batches.append(Batch(
             interval=Interval(now, end),
             assignments=tuple(sorted(assignments)),
-            machines=table.machines(cfg_idx, phy),
-            config=table.configs[cfg_idx],
+            machines=table.machines(row, phy),
+            config=table.configs[row],
         ))
         now = end + 1  # closed intervals: the next batch may not share the endpoint
 

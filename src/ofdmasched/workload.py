@@ -44,8 +44,8 @@ class ApplicationProfile:
             raise ValueError("gen_rate must be positive")
         if self.deadline_us <= 0:
             raise ValueError("deadline must be positive")
-        if self.profit < 0:
-            raise ValueError("profit must be non-negative")
+        if not 0.0 <= self.profit < math.inf:  # also false for nan
+            raise ValueError(f"{self.name}: profit {self.profit} is not finite and non-negative")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if not 0 < self.size_min <= self.size_max:
@@ -264,7 +264,11 @@ def dump_jobs(jobset: JobSet) -> str:
 
 
 def parse_jobs(text: str) -> JobSet:
+    """Read a ``dump_jobs`` text. Without a ``horizon_us`` header the
+    horizon is the latest deadline; a header's horizon must be positive
+    when there are jobs, or no job could be scheduled."""
     horizon, seed = 0, 0
+    header = None  # (number, line) of the horizon header
     jobs = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -275,6 +279,7 @@ def parse_jobs(text: str) -> JobSet:
                 meta = dict(kv.split("=") for kv in line[1:].split())
                 horizon = int(meta.get("horizon_us", 0))
                 seed = int(meta.get("seed", 0))
+                header = (number, line) if "horizon_us" in meta else None
                 continue
             f = line.split(maxsplit=7)
             if len(f) < 7:
@@ -287,6 +292,9 @@ def parse_jobs(text: str) -> JobSet:
                             app=f[7] if len(f) > 7 else ""))
         except ValueError as exc:
             raise ValueError(f"line {number}: {line!r}: {exc}") from None
+    if header and jobs and horizon <= 0:
+        number, line = header
+        raise ValueError(f"line {number}: {line!r}: horizon_us must be positive, got {horizon}")
     if not horizon and jobs:
         horizon = max(j.deadline_abs for j in jobs)
     return JobSet(jobs=tuple(jobs), horizon=horizon, seed=seed)

@@ -140,6 +140,16 @@ CROWD = JobSet(jobs=tuple(
         app=f"app-{i % 2}")
     for i in range(12)), horizon=1_000, seed=0)
 
+# nine heads at once: numpy sums rows of eight or more heads pairwise,
+# and a head-by-head sum would pick [0, 128] jobs 4, 5, 6 here where the
+# matrix scorer picks [0, 64] jobs 4, 6, 8
+PAIRWISE = JobSet(jobs=tuple(
+    Job(id=i, station=i, release=0, deadline_abs=deadline, profit=profit, size=size, app="a")
+    for i, (deadline, profit, size) in enumerate((
+        (200, 0.01, 68), (100, 0.001, 372), (200, 0.2, 326), (200, 0.1, 30),
+        (200, 19.79191918781962, 2), (200, 0.7, 383), (2_000, 21.130830421199654, 76),
+        (2_000, 1 / 3, 276), (60, 0.7, 253)))), horizon=2_000, seed=0)
+
 
 @settings(max_examples=200, deadline=None)
 @given(job_sets(), st.sampled_from(BENCHMARK_KINDS), st.sampled_from([20, 40, 80, 160]),
@@ -147,6 +157,7 @@ CROWD = JobSet(jobs=tuple(
 @example(FLOAT_TIE, "edf", 20, 4_000)
 @example(CROWD, "lrf", 20, 4_000)
 @example(CROWD, "nlrf", 20, 200)
+@example(PAIRWISE, "lrf", 20, 4_000)
 def test_rounds_match_the_matrix_scorer(jobs, kind, width, txop):
     assert greedy_benchmark(kind, jobs, width, PHY, txop) == \
         oracle.greedy_benchmark(kind, jobs, width, PHY, txop)

@@ -154,11 +154,28 @@ def test_jobs_round_trip_without_app():
     ("# horizon_us\n", "line 1: '# horizon_us':"),
     ("0 0 50 50 1.0 10 0 a", "line 1: '0 0 50 50 1.0 10 0 a': job 0: release 50 >= deadline 50"),
     ("0 0 0 100 1.0 10 2 a", "line 1: '0 0 0 100 1.0 10 2 a': critical must be 0 or 1, got 2"),
+    # a horizon that is not positive leaves every job unschedulable, and
+    # the empty schedule would validate clean
+    ("# horizon_us=-5 seed=0\n0 0 0 100 1.0 10 0 a\n1 1 0 100 1.0 10 0 a",
+     "line 1: '# horizon_us=-5 seed=0': horizon_us must be positive, got -5"),
+    ("\n# horizon_us=0\n0 0 0 100 1.0 10 0 a",
+     "line 2: '# horizon_us=0': horizon_us must be positive"),
 ])
 def test_parse_jobs_names_the_bad_line(text, where):
     with pytest.raises(ValueError) as info:
         parse_jobs(text)
     assert str(info.value).startswith(where)
+
+
+def test_parse_jobs_takes_any_horizon_header_without_jobs():
+    assert parse_jobs("# horizon_us=0 seed=4\n") == JobSet(jobs=(), horizon=0, seed=4)
+
+
+@pytest.mark.parametrize("profit", [float("nan"), float("inf"), -1])
+def test_profile_profit_must_be_finite_and_non_negative(profit):
+    # the rule a Job holds, raised where the profile is made
+    with pytest.raises(ValueError, match="x: profit"):
+        ApplicationProfile("x", 100, 10, 10, 1000, profit, 1)
 
 
 def test_invalid_inputs_rejected():
