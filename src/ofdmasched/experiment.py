@@ -2,10 +2,15 @@
 simulator -> metrics, with all artifacts written to disk.
 
 Every run emits ``jobs.txt``, ``schedule.txt``, ``report.json`` and
-``metrics.csv`` into the output directory. Repetitions re-run the
-pipeline with consecutive seeds and aggregate mean and 95% confidence
-intervals; the worker count is capped by the ``DPMSS_THREADS``
-environment variable (sequential by default).
+``metrics.csv`` into the output directory. The stages around the
+scheduler cost about as much as it does, so each works once per distinct
+value where it can: one (profit, critical, app) tail per station in the
+workload, shared machine, configuration and duration checks within one
+validation, one pass over the jobs for the run's tallies, one line head
+per batch in ``schedule.txt``. Repetitions re-run the pipeline with
+consecutive seeds and aggregate mean and 95% confidence intervals; the
+worker count is capped by the ``DPMSS_THREADS`` environment variable
+(sequential by default), read before the first seed runs.
 """
 
 from __future__ import annotations
@@ -99,15 +104,15 @@ class MetricsRow:
 
 def _metrics_from(config, jobs: JobSet, report: SimulationReport) -> MetricsRow:
     total_profit = jobs.total_profit
-    achieved = sum(j.profit for j in jobs.jobs if j.id in report.delivered)
-    criticals = [j for j in jobs.jobs if j.critical]
+    delivered = report.delivered
+    achieved = sum([j.profit for j in jobs.jobs if j.id in delivered])
+    criticals = [j.id for j in jobs.jobs if j.critical]
     # a use case where every application carries the top profit has no
     # distinguished critical class; its critical breakdown stays blank
     if len(criticals) == len(jobs.jobs) or not criticals:
         crit_pct = None
     else:
-        crit_dropped = sum(1 for j in criticals if j.id in report.dropped)
-        crit_pct = 100.0 * crit_dropped / len(criticals)
+        crit_pct = 100.0 * len(report.dropped.intersection(criticals)) / len(criticals)
     return MetricsRow(
         use_case=config.use_case,
         scheduler=config.scheduler,
@@ -163,17 +168,18 @@ def _confidence(values):
 def run(config: ExperimentConfig) -> MetricsRow:
     """Run one experiment (plus repetitions) and write artifacts."""
     config.validate()
+    # a bad worker count fails before the first seed runs
+    threads = os.environ.get("DPMSS_THREADS", "1") if config.reps > 1 else "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ValueError(f"DPMSS_THREADS must be an integer, got {threads!r}") from None
     jobs = _load_jobs(config)
     row, schedule, report = _single_run(config, jobs)
 
     rows = [row]
     if config.reps > 1:
         seeds = list(range(config.seed + 1, config.seed + config.reps))
-        threads = os.environ.get("DPMSS_THREADS", "1")
-        try:
-            workers = int(threads)
-        except ValueError:
-            raise ValueError(f"DPMSS_THREADS must be an integer, got {threads!r}") from None
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 extra = list(pool.map(_rep_worker, [(config, s) for s in seeds]))

@@ -97,8 +97,8 @@ def dump_schedule(schedule: Schedule) -> str:
     lines = []
     for idx, b in enumerate(schedule.batches):
         cfg = -1 if b.config is None else configuration_index(b.config)
-        for job_id, machine_id in b.assignments:
-            lines.append(f"{idx} {b.interval.start} {b.interval.end} {cfg} {job_id} {machine_id}")
+        head = f"{idx} {b.interval.start} {b.interval.end} {cfg} "
+        lines += [f"{head}{job_id} {machine_id}" for job_id, machine_id in b.assignments]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

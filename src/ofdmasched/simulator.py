@@ -86,53 +86,93 @@ def validate_schedule(
     phy: PhyProfile,
     txop: int,
 ) -> list[str]:
-    """All feasibility violations of a schedule; empty list means feasible."""
+    """All feasibility violations of a schedule; empty list means feasible.
+
+    Work is shared within one call only. Each distinct machine tuple (by
+    identity) has its bandwidths, PHY checks and duration memos set up
+    once, each (configuration, machine tuple) pair its configuration
+    checks, and each (payload size, tone class, PHY) its duration. The
+    durations come from ``tx_duration``, never from the schedulers' cached
+    tables, so that a fault in a shared table cannot hide from the check.
+    """
     batches = list(schedule.batches) if isinstance(schedule, Schedule) else list(schedule)
     by_id = {j.id: j for j in jobs.jobs}
     budget = root_tones(channel_width)
     violations = []
+    reuse = []  # job reuse, reported after the conflicts
+    seen: dict[int, int] = {}
+    # id(machines) -> (machines, bandwidths, on the channel's PHY, duration memos);
+    # the tuple is held so that its id is not reused within the call
+    per_machines: dict[int, tuple] = {}
+    # (id(config), id(machines)) -> (config, illegal, machines disagree)
+    per_config: dict[tuple[int, int], tuple] = {}
+    memos: dict[tuple, dict[int, int]] = {}  # (tone class, PHY) -> {size: duration}
 
     for i, b in enumerate(batches):
         t1, t2 = b.interval.start, b.interval.end
-        if b.interval.length > txop:
-            violations.append(f"txop: batch {i} length {b.interval.length} exceeds {txop}")
-        if b.config is not None:
-            try:
-                if b.config.channel_width != channel_width:
-                    raise ValueError("width mismatch")
-                configuration_index(b.config)
-            except ValueError:
-                violations.append(f"configuration: batch {i} uses illegal config {b.config}")
-            batch_classes = sorted(m.tone_class for m in b.machines)
-            config_classes = sorted(b.config.ru_classes_desc())
-            if batch_classes != config_classes:
+        if t2 - t1 > txop:
+            violations.append(f"txop: batch {i} length {t2 - t1} exceeds {txop}")
+        machines = b.machines
+        if id(machines) not in per_machines:
+            per_machines[id(machines)] = (
+                machines,
+                [m.bandwidth for m in machines],
+                [m.phy == phy for m in machines],
+                [memos.setdefault((m.tone_class, m.phy), {}) for m in machines],
+            )
+        _, bandwidths, on_phy, durations = per_machines[id(machines)]
+        config = b.config
+        if config is not None:
+            key = (id(config), id(machines))
+            if key not in per_config:
+                try:
+                    if config.channel_width != channel_width:
+                        raise ValueError("width mismatch")
+                    configuration_index(config)
+                    illegal = False
+                except ValueError:
+                    illegal = True
+                disagree = (sorted(m.tone_class for m in machines)
+                            != sorted(config.ru_classes_desc()))
+                per_config[key] = (config, illegal, disagree)
+            _, illegal, disagree = per_config[key]
+            if illegal:
+                violations.append(f"configuration: batch {i} uses illegal config {config}")
+            if disagree:
                 violations.append(f"configuration: batch {i} machines disagree with config")
         used = [m for _, m in b.assignments]
         if len(set(used)) != len(used):
             violations.append(f"machine reuse: batch {i} assigns a machine twice")
+        n_machines = len(machines)
         active_bw = 0
         for job_id, m_idx in b.assignments:
-            if not 0 <= m_idx < len(b.machines):
+            if job_id in seen:
+                reuse.append(f"job reuse: job {job_id} in batches {seen[job_id]} and {i}")
+            seen[job_id] = i
+            if not 0 <= m_idx < n_machines:
                 violations.append(f"machine index: batch {i} machine {m_idx} out of range")
                 continue
-            machine = b.machines[m_idx]
-            active_bw += machine.bandwidth
-            if machine.phy != phy:
-                violations.append(f"phy: batch {i} machine {m_idx} runs {machine.phy}, "
+            active_bw += bandwidths[m_idx]
+            if not on_phy[m_idx]:
+                violations.append(f"phy: batch {i} machine {m_idx} runs {machines[m_idx].phy}, "
                                   f"not the channel's {phy}")
             job = by_id.get(job_id)
             if job is None:
                 violations.append(f"unknown job: batch {i} job {job_id}")
                 continue
-            if job.release > t1:
+            release, deadline, size = job.release, job.deadline_abs, job.size
+            if release > t1:
                 violations.append(
-                    f"admissibility: batch {i} job {job_id} released {job.release} after start {t1}")
+                    f"admissibility: batch {i} job {job_id} released {release} after start {t1}")
                 continue
-            p = tx_duration(job.size, machine)
-            if t1 + p > min(t2, job.deadline_abs):
+            memo = durations[m_idx]
+            p = memo.get(size)
+            if p is None:
+                p = memo[size] = tx_duration(size, machines[m_idx])
+            if t1 + p > t2 or t1 + p > deadline:
                 violations.append(
                     f"admissibility: batch {i} job {job_id} finish {t1 + p} "
-                    f"misses min(end={t2}, deadline={job.deadline_abs})")
+                    f"misses min(end={t2}, deadline={deadline})")
         if active_bw > budget:
             violations.append(f"bandwidth: batch {i} uses {active_bw} tones > {budget}")
 
@@ -140,14 +180,7 @@ def validate_schedule(
     for a, b in zip(ordered, ordered[1:]):
         if conflicts(batches[a].interval, batches[b].interval):
             violations.append(f"conflict: batches {a} and {b} overlap")
-
-    seen: dict[int, int] = {}
-    for i, b in enumerate(batches):
-        for job_id, _ in b.assignments:
-            if job_id in seen:
-                violations.append(f"job reuse: job {job_id} in batches {seen[job_id]} and {i}")
-            seen[job_id] = i
-    return violations
+    return violations + reuse
 
 
 @dataclass(frozen=True)
@@ -211,18 +244,24 @@ def run_scenario(
     if violations:
         raise RuntimeError(f"infeasible schedule: {violations[:3]}")
 
+    # one pass over the jobs; applications keep their order of first appearance
     delivered = frozenset(schedule.scheduled_jobs)
-    dropped = frozenset(j.id for j in jobs.jobs) - delivered
+    dropped = []
     per_app: dict = {}
     for j in jobs.jobs:
-        row = per_app.setdefault(j.app or "default", {
-            "generated": 0, "delivered": 0, "dropped": 0,
-            "critical": bool(j.critical),
-        })
+        job_id, app = j.id, j.app or "default"
+        row = per_app.get(app)
+        if row is None:
+            row = per_app[app] = {"generated": 0, "delivered": 0, "dropped": 0,
+                                  "critical": bool(j.critical)}
         row["generated"] += 1
-        row["delivered" if j.id in delivered else "dropped"] += 1
+        if job_id in delivered:
+            row["delivered"] += 1
+        else:
+            row["dropped"] += 1
+            dropped.append(job_id)
     report = SimulationReport(
-        delivered=delivered, dropped=dropped, per_app=per_app,
+        delivered=delivered, dropped=frozenset(dropped), per_app=per_app,
         runtime_ms=runtime_ms)
     return report, schedule
 
@@ -301,20 +340,37 @@ def best_effort_overlay(
         raise ValueError(f"best-effort packet {late.id} arrives at {late.arrival_us} us, "
                          f"not before the horizon {horizon} us")
     first = max((j.id for j in jobs.jobs), default=-1) + 1
-    # unserved packets, in release order
+    # unserved packets in release order, each as the job last handed to the
+    # kernel, with their releases and current profits: escalation changes only
+    # the floats, and only the first ``stale`` jobs may hold an old profit
     waiting = sorted((Job(id=first + p.id, station=-1, release=p.arrival_us,
                           deadline_abs=horizon, profit=p.profit, size=p.size,
                           app="best-effort") for p in be_packets),
                      key=lambda j: j.release)
+    releases = [j.release for j in waiting]
+    profits = [j.profit for j in waiting]
+    stale = 0
     served: dict[int, Job] = {}
 
     def arrived(t):
-        return bisect.bisect_right(waiting, t, key=lambda j: j.release)
+        return bisect.bisect_right(releases, t)
+
+    def candidates(n):
+        """The first ``n`` waiting packets as jobs at their current profits;
+        only those among the first ``stale`` are rebuilt."""
+        nonlocal stale
+        m = min(n, stale)
+        waiting[:m] = [Job(j.id, -1, j.release, horizon, p, j.size, False, "best-effort")
+                       for j, p in zip(waiting[:m], profits)]
+        if m == stale:
+            stale = 0
+        return waiting[:n]
 
     def serve(placed, t):
         served.update((j.id, j) for j in placed)
-        n = arrived(t)
-        waiting[:n] = [j for j in waiting[:n] if j.id not in served]
+        gone = [k for k, j in enumerate(waiting[:arrived(t)]) if j.id in served]
+        for k in reversed(gone):
+            del waiting[k], releases[k], profits[k]
 
     def admit_on_free(batch):
         used = {m for _, m in batch.assignments}
@@ -324,7 +380,7 @@ def best_effort_overlay(
             return batch
         counts = np.bincount([TONE_CLASSES.index(batch.machines[i].tone_class) for i in free],
                              minlength=len(TONE_CLASSES))
-        _, placed = pick_jobs(waiting[: arrived(batch.interval.start)], batch.interval,
+        _, placed = pick_jobs(candidates(arrived(batch.interval.start)), batch.interval,
                               counts[None, :], phy)
         if not placed:
             return batch
@@ -337,13 +393,13 @@ def best_effort_overlay(
         while t < gap_end and waiting:
             n = arrived(t)
             if n == 0:
-                t = waiting[0].release
+                t = releases[0]
                 continue
             end_limit = min(gap_end, t + txop)
             if (end_limit - t) * 1_000 < phy.symbol_duration_ns:
                 break
             config, pairs, matched = lsds_config_search(
-                waiting[:n], Interval(t, end_limit), channel_width, phy)
+                candidates(n), Interval(t, end_limit), channel_width, phy)
             if not matched:
                 break
             serve(matched, t)
@@ -363,7 +419,8 @@ def best_effort_overlay(
             fill_gap(cursor + 1, start - 1)
         augmented.append(admit_on_free(batch))
         n = arrived(start)
-        waiting[:n] = [j._replace(profit=escalate_profit(j.profit, top)) for j in waiting[:n]]
+        profits[:n] = [escalate_profit(p, top) for p in profits[:n]]
+        stale = max(stale, n)
         cursor = batch.interval.end
     if horizon - cursor > 1:
         fill_gap(cursor + 1, horizon)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -140,7 +141,8 @@ def _arrivals(profile, horizon, seed, station_base, scope):
     periodic = profile.arrival_kind == "periodic"
     if periodic and profile.period_us < 1:
         raise ValueError(f"{profile.name}: period below the 1 us grid")
-    fixed = profile.size_min if profile.size_min == profile.size_max else None
+    lo, hi, deadline_us = profile.size_min, profile.size_max, profile.deadline_us
+    fixed = lo if lo == hi else None
     mean_us = 1e6 / profile.gen_rate
     rows = []
     for station in range(station_base, station_base + profile.node_count):
@@ -149,9 +151,9 @@ def _arrivals(profile, horizon, seed, station_base, scope):
             releases = range(0, horizon, profile.period_us)
         else:
             releases = _poisson_releases(rng, mean_us, horizon)
-        for release in releases:
-            size = fixed or rng.randint(profile.size_min, profile.size_max)
-            rows.append((release, station, min(release + profile.deadline_us, horizon), size))
+        # a Poisson release and its size draw alternate on the station's stream
+        rows += [(release, station, min(release + deadline_us, horizon),
+                  fixed or rng.randint(lo, hi)) for release in releases]
     return rows
 
 
@@ -237,18 +239,17 @@ def load_use_case(use_case: str, horizon: int, seed: int) -> JobSet:
     profiles = use_case_profiles(use_case)
     max_profit = max(p.profit for p in profiles)
     rows = []
-    owner = []  # station -> profile
+    tails = []  # station -> (profit, critical, app) of its profile
     for p in profiles:
-        rows += _arrivals(p, horizon, seed, len(owner), f"{use_case}:{p.name}")
-        owner += [p] * p.node_count
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))  # stable: ties keep table order
-    jobs = tuple(
-        Job(id=i, station=station, release=release, deadline_abs=deadline,
-            profit=owner[station].profit, size=size,
-            critical=owner[station].profit == max_profit, app=owner[station].name)
-        for i, (release, station, deadline, size) in enumerate(rows))
+        rows += _arrivals(p, horizon, seed, len(tails), f"{use_case}:{p.name}")
+        tails += [(p.profit, p.profit == max_profit, p.name)] * p.node_count
+    rows.sort(key=itemgetter(0, 1, 2))  # stable: ties keep table order
+    jobs = []
+    for i, (release, station, deadline, size) in enumerate(rows):
+        profit, critical, app = tails[station]
+        jobs.append(Job(i, station, release, deadline, profit, size, critical, app))
     del rows  # freed before JobSet's duplicate-id check builds its set
-    return JobSet(jobs=jobs, horizon=horizon, seed=seed)
+    return JobSet(jobs=tuple(jobs), horizon=horizon, seed=seed)
 
 
 def dump_jobs(jobset: JobSet) -> str:

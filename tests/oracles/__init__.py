@@ -4,6 +4,7 @@
 Hungarian max-weight matching (scipy) and the exact per-interval
 configuration search, ``exhaustive`` the brute-force optimum of tiny
 instances, ``rates`` the reference PHY rate that durations are checked
-against, and ``slotted`` the per-packet slotted matcher. No code under
-``src/`` imports them.
+against, ``slotted`` the per-packet slotted matcher, and ``validator``
+the per-assignment schedule validator. No code under ``src/`` imports
+them.
 """

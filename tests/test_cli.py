@@ -278,6 +278,17 @@ def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
     assert "DPMSS_THREADS must be an integer, got 'x'" in capsys.readouterr().err
 
 
+def test_a_bad_thread_count_fails_before_the_first_seed(tmp_path, capsys, monkeypatch):
+    def no_workload(config):
+        raise RuntimeError("stage 'workload' failed: the first seed ran")
+
+    monkeypatch.setenv("DPMSS_THREADS", "x")
+    monkeypatch.setattr(experiment, "_load_jobs", no_workload)
+    assert main(["run", "--use-case", "UC4", "--scheduler", "edf", "--horizon-us", "20000",
+                 "--reps", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "DPMSS_THREADS must be an integer, got 'x'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,where", [
     ("0 0 100 0 1 0\n0 0 100 0 2\n", "line 2: '0 0 100 0 2': not enough values to unpack"),
     ("0 0 100 0 1 0 7\n", "line 1: '0 0 100 0 1 0 7': too many values to unpack"),

@@ -1,15 +1,18 @@
 """Properties every scheduler of the table, and the best-effort overlay
-on its schedule, keep on random small job sets; and properties of the
-two text parsers on lines with one bad token.
+on its schedule, keep on random small job sets; properties of the two
+text parsers on lines with one bad token; and the validator's agreement
+with its per-assignment oracle on mutated schedules.
 
 Each station's jobs are split between two applications, which the
 per-application bookkeeping of nlrf has to follow job by job.
 """
 
+import functools
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,10 @@ from ofdmasched.scheduling import dump_schedule, parse_schedule
 from ofdmasched.simulator import (CHANNEL_QUALITIES, SCHEDULERS, BestEffortPacket,
                                   ChannelScenario, best_effort_overlay, run_scenario,
                                   validate_schedule)
-from ofdmasched.workload import Job, JobSet, dump_jobs, parse_jobs
+from ofdmasched.workload import Job, JobSet, dump_jobs, load_use_case, parse_jobs
+
+from oracles.validator import validate_schedule as oracle_validate
+from test_simulator import VALIDATOR_MUTANTS
 
 # one station whose two jobs belong to two applications
 TWO_APPS = JobSet((Job(0, 0, 0, 1000, 1.0, 100, app="a"),
@@ -181,3 +187,70 @@ def test_parse_schedule_reads_back_its_dump_or_names_the_bad_line(case):
     profits = {job: 1.0 for job in range(text.count("\n"))}
     assert_parses_back_or_names_a_line(
         lambda t: parse_schedule(t, profits, width, PhyProfile()), dump_schedule, text)
+
+
+@functools.cache
+def valid_schedule(use_case):
+    """A valid schedule of a use case, with its job set, width and TXOP."""
+    if use_case == "UC4":
+        jobs = load_use_case("UC4", 20_000, 1)
+        return jobs, 40, 4_000, run_scenario(jobs, "lsds", ChannelScenario(), 40)[1]
+    jobs = load_use_case("UC3", 3_000, 1)
+    return jobs, 160, 500, run_scenario(jobs, "edf", ChannelScenario(), 160, 500)[1]
+
+
+# Each mutation reads the valid batches and returns (index, changed batch).
+
+def _rotated(mutate):
+    """A mutation of the test set applied at a drawn position: those change
+    the first batch (or search from it), so rotate that batch first."""
+    def at(js, batches, k):
+        i, mutated, _ = mutate(js, batches[k:] + batches[:k])
+        return (k + i) % len(batches), mutated
+    at.__name__ = mutate.__name__
+    return at
+
+
+def _copy_on_mcs0(js, batches, k):
+    """An equal but distinct copy of the batch's machine tuple, one assigned RU on MCS 0."""
+    b = batches[k]
+    machines = list(b.machines)
+    m = b.assignments[0][1]
+    machines[m] = replace(machines[m], phy=PhyProfile(mcs=0))
+    return k, replace(b, machines=tuple(machines))
+
+
+def _shared_machines(js, batches, k):
+    """The batch's machine tuple, the same object, under the next batch's configuration."""
+    other = (k + 1) % len(batches)
+    return other, replace(batches[other], machines=batches[k].machines)
+
+
+def _other_phy_copy(js, batches, k):
+    """The batch copied over the next one with every RU on another PHY, so
+    each of its (size, class) pairs also runs on a second PHY."""
+    b = batches[k]
+    phy = PhyProfile(mcs=k % 11)
+    return (k + 1) % len(batches), replace(
+        b, machines=tuple(replace(m, phy=phy) for m in b.machines))
+
+
+VALIDATOR_MUTATIONS = [*map(_rotated, VALIDATOR_MUTANTS),
+                       _copy_on_mcs0, _shared_machines, _other_phy_copy]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["UC4", "UC3"]),
+       st.lists(st.tuples(st.sampled_from(VALIDATOR_MUTATIONS), st.integers(0, 10**6)),
+                max_size=6),
+       st.booleans())
+def test_validator_matches_the_per_assignment_oracle(use_case, mutations, mcs0_channel):
+    jobs, width, txop, schedule = valid_schedule(use_case)
+    valid = list(schedule.batches)
+    batches = list(valid)
+    for mutate, at in mutations:
+        i, batch = mutate(jobs, valid, at % len(valid))
+        batches[i] = batch
+    phy = PhyProfile(mcs=0) if mcs0_channel else PhyProfile()
+    assert validate_schedule(batches, jobs, width, phy, txop) == \
+        oracle_validate(batches, jobs, width, phy, txop)

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from ofdmasched import benchmarks, local_search, scheduling, simulator
+from ofdmasched import benchmarks, experiment, local_search, scheduling, simulator
+from ofdmasched.experiment import ExperimentConfig
 from ofdmasched.local_search import lsds_run
 from ofdmasched.phy import (
     Machine,
@@ -159,9 +160,11 @@ def _unknown_job(js, batches):
         f"unknown job: batch 0 job {unknown}"
 
 
-@pytest.mark.parametrize("mutate", [_narrower_ru, _over_budget, _machines_disagree,
-                                    _other_width, _machine_out_of_range, _unknown_job,
-                                    _other_phy])
+VALIDATOR_MUTANTS = [_narrower_ru, _over_budget, _machines_disagree, _other_width,
+                     _machine_out_of_range, _unknown_job, _other_phy]
+
+
+@pytest.mark.parametrize("mutate", VALIDATOR_MUTANTS)
 def test_validator_names_each_mutation(uc4_batches, mutate):
     js, batches = uc4_batches
     i, mutated, expected = mutate(js, batches)
@@ -206,6 +209,38 @@ def test_run_scenario_conservation_and_registry():
         assert len(report.delivered) + len(report.dropped) == len(js)
     with pytest.raises(ValueError):
         run_scenario(js, "nope", ChannelScenario("ideal"), 40)
+
+
+# Two applications and an app-less job, met in the order b, "", a; critical
+# flags are mixed within "a" and "b". The jobs with a 10 us deadline cannot
+# finish: the shortest transmission is one 16 us symbol.
+TALLY_JOBS = JobSet((
+    Job(0, 0, 0, 5_000, 10.0, 100, critical=True, app="b"),
+    Job(1, 1, 0, 10, 30.0, 100, app="b"),
+    Job(2, 2, 0, 5_000, 5.0, 100),
+    Job(3, 3, 0, 5_000, 30.0, 100, critical=True, app="a"),
+    Job(4, 4, 0, 10, 30.0, 100, critical=True, app="a"),
+    Job(5, 5, 0, 5_000, 1.0, 100, app="a"),
+    Job(6, 6, 0, 10, 2.0, 100),
+), horizon=5_000, seed=3)
+
+
+@pytest.mark.parametrize("scheduler", sorted(simulator.SCHEDULERS))
+def test_run_tallies_per_application_and_metrics(scheduler):
+    report, _ = run_scenario(TALLY_JOBS, scheduler, ChannelScenario("ideal"), 20)
+    assert report.delivered == {0, 2, 3, 5} and report.dropped == {1, 4, 6}
+    # keys in order of first appearance, each row's fields in a fixed order
+    assert [(app, list(row.items())) for app, row in report.per_app.items()] == [
+        ("b", [("generated", 2), ("delivered", 1), ("dropped", 1), ("critical", True)]),
+        ("default", [("generated", 2), ("delivered", 1), ("dropped", 1), ("critical", False)]),
+        ("a", [("generated", 3), ("delivered", 2), ("dropped", 1), ("critical", True)]),
+    ]
+    row = experiment._metrics_from(ExperimentConfig("UC4", scheduler, bandwidth_mhz=20),
+                                   TALLY_JOBS, report)
+    assert row.seed == 3
+    assert row.profit_ratio == 46.0 / 108.0
+    assert row.drop_pct == 100.0 * 3 / 7
+    assert row.critical_drop_pct == 100.0 * 1 / 3
 
 
 def test_run_scenario_passes_the_schedulers_value_error_through():
