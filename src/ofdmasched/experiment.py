@@ -19,7 +19,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -158,11 +157,8 @@ def _rep_worker(args):
 
 
 def _confidence(values):
-    mean = statistics.fmean(values)
-    if len(values) < 2:
-        return mean, 0.0
     half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
-    return mean, half
+    return statistics.fmean(values), half
 
 
 def run(config: ExperimentConfig) -> MetricsRow:
@@ -181,6 +177,7 @@ def run(config: ExperimentConfig) -> MetricsRow:
     if config.reps > 1:
         seeds = list(range(config.seed + 1, config.seed + config.reps))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 extra = list(pool.map(_rep_worker, [(config, s) for s in seeds]))
         else:

@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -340,37 +341,19 @@ def best_effort_overlay(
         raise ValueError(f"best-effort packet {late.id} arrives at {late.arrival_us} us, "
                          f"not before the horizon {horizon} us")
     first = max((j.id for j in jobs.jobs), default=-1) + 1
-    # unserved packets in release order, each as the job last handed to the
-    # kernel, with their releases and current profits: escalation changes only
-    # the floats, and only the first ``stale`` jobs may hold an old profit
-    waiting = sorted((Job(id=first + p.id, station=-1, release=p.arrival_us,
-                          deadline_abs=horizon, profit=p.profit, size=p.size,
-                          app="best-effort") for p in be_packets),
-                     key=lambda j: j.release)
-    releases = [j.release for j in waiting]
-    profits = [j.profit for j in waiting]
-    stale = 0
+    release_of = attrgetter("release")
+    # unserved packets in release order, each a job at its current profit
+    waiting = sorted((Job(first + p.id, -1, p.arrival_us, horizon, p.profit, p.size, False,
+                          "best-effort") for p in be_packets), key=release_of)
     served: dict[int, Job] = {}
 
     def arrived(t):
-        return bisect.bisect_right(releases, t)
-
-    def candidates(n):
-        """The first ``n`` waiting packets as jobs at their current profits;
-        only those among the first ``stale`` are rebuilt."""
-        nonlocal stale
-        m = min(n, stale)
-        waiting[:m] = [Job(j.id, -1, j.release, horizon, p, j.size, False, "best-effort")
-                       for j, p in zip(waiting[:m], profits)]
-        if m == stale:
-            stale = 0
-        return waiting[:n]
+        return bisect.bisect_right(waiting, t, key=release_of)
 
     def serve(placed, t):
         served.update((j.id, j) for j in placed)
-        gone = [k for k, j in enumerate(waiting[:arrived(t)]) if j.id in served]
-        for k in reversed(gone):
-            del waiting[k], releases[k], profits[k]
+        n = arrived(t)
+        waiting[:n] = [j for j in waiting[:n] if j.id not in served]
 
     def admit_on_free(batch):
         used = {m for _, m in batch.assignments}
@@ -380,7 +363,7 @@ def best_effort_overlay(
             return batch
         counts = np.bincount([TONE_CLASSES.index(batch.machines[i].tone_class) for i in free],
                              minlength=len(TONE_CLASSES))
-        _, placed = pick_jobs(candidates(arrived(batch.interval.start)), batch.interval,
+        _, placed = pick_jobs(waiting[:arrived(batch.interval.start)], batch.interval,
                               counts[None, :], phy)
         if not placed:
             return batch
@@ -393,13 +376,13 @@ def best_effort_overlay(
         while t < gap_end and waiting:
             n = arrived(t)
             if n == 0:
-                t = releases[0]
+                t = waiting[0].release
                 continue
             end_limit = min(gap_end, t + txop)
             if (end_limit - t) * 1_000 < phy.symbol_duration_ns:
                 break
             config, pairs, matched = lsds_config_search(
-                candidates(n), Interval(t, end_limit), channel_width, phy)
+                waiting[:n], Interval(t, end_limit), channel_width, phy)
             if not matched:
                 break
             serve(matched, t)
@@ -419,8 +402,8 @@ def best_effort_overlay(
             fill_gap(cursor + 1, start - 1)
         augmented.append(admit_on_free(batch))
         n = arrived(start)
-        profits[:n] = [escalate_profit(p, top) for p in profits[:n]]
-        stale = max(stale, n)
+        waiting[:n] = [Job(j.id, -1, j.release, horizon, escalate_profit(j.profit, top), j.size,
+                           False, "best-effort") for j in waiting[:n]]
         cursor = batch.interval.end
     if horizon - cursor > 1:
         fill_gap(cursor + 1, horizon)

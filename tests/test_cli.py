@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmasched import experiment
+from ofdmasched import experiment, simulator
 from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
-from ofdmasched.phy import PhyProfile
-from ofdmasched.phy import CHANNEL_WIDTHS
-from ofdmasched.scheduling import dump_schedule, parse_schedule
+from ofdmasched.phy import (CHANNEL_WIDTHS, PhyProfile, full_26_tone_configuration,
+                             machines_for_configuration)
+from ofdmasched.scheduling import (Batch, Interval, dump_schedule, make_schedule,
+                                   parse_schedule)
 from ofdmasched.simulator import (CHANNEL_QUALITIES, SCHEDULERS, ChannelScenario,
                                   run_scenario, validate_schedule)
 from ofdmasched.workload import USE_CASES, load_use_case
@@ -188,6 +189,23 @@ def test_a_failed_scheduler_stage_names_the_scheduler_once():
         experiment._single_run(config, load_use_case("UC4", 20_000, 1))
     assert str(info.value) == ("stage 'scheduler lsdsf' failed: "
                                "txop 10 us is shorter than one OFDM symbol (16000 ns)")
+
+
+def _one_batch_past_the_txop(jobs, width, phy, txop, grid_us):
+    config = full_26_tone_configuration(width)
+    machines = tuple(machines_for_configuration(config, phy))
+    return make_schedule([Batch(Interval(0, txop + 1), (), machines, config)], {})
+
+
+def test_an_infeasible_schedule_fails_the_run_with_exit_1(tmp_path, capsys, monkeypatch):
+    # a scheduler whose output breaks its contract is a run failure, not a bad input
+    monkeypatch.setitem(simulator.SCHEDULERS, "edf", _one_batch_past_the_txop)
+    with pytest.raises(RuntimeError, match=r"^infeasible schedule: \['txop: batch 0 length 4001 "):
+        run_scenario(load_use_case("UC4", 20_000, 1), "edf", ChannelScenario("ideal"), 40)
+    assert main(["run", "--use-case", "UC4", "--scheduler", "edf", "--horizon-us", "20000",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: stage 'scheduler edf' failed: infeasible schedule: ['txop: ")
 
 
 def test_cli_horizon_under_one_grid_step_runs_the_round_schedulers(tmp_path):

@@ -292,6 +292,16 @@ def test_txop_shorter_than_one_symbol_rejected(scheduler):
             lsdsf_run(jobs, [machine(RuToneClass.RU26, 0)], txop=10, grid_us=1)
 
 
+def test_lsdsf_rejects_a_machine_set_without_one_phy():
+    jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=200,
+                            profit=9.0, size=18),), horizon=192, seed=0)
+    with pytest.raises(ValueError, match="empty machine set"):
+        lsdsf_run(jobs, [])
+    with pytest.raises(ValueError, match="machines must share one PHY profile"):
+        lsdsf_run(jobs, [machine(RuToneClass.RU26, 0),
+                         machine(RuToneClass.RU26, 1, PhyProfile(mcs=0))])
+
+
 def test_lsds_rejects_unsupported_width():
     jobs = JobSet(jobs=(Job(id=0, station=0, release=0, deadline_abs=200,
                             profit=9.0, size=18),), horizon=192, seed=0)

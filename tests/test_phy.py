@@ -118,8 +118,16 @@ def test_split_closure_at_20mhz():
 def test_configuration_rejects_overfull_counts():
     with pytest.raises(ValueError):
         RuConfiguration((10, 0, 0, 0, 0, 0), 20)
+    with pytest.raises(ValueError, match="malformed counts"):
+        RuConfiguration((1, 0, 0, 0, 0), 40)
     with pytest.raises(ValueError):
         enumerate_configurations(30)
+
+
+@pytest.mark.parametrize("mcs", [-1, 12])
+def test_mcs_outside_the_table_rejected(mcs):
+    with pytest.raises(ValueError, match=f"mcs out of range: {mcs}"):
+        PhyProfile(mcs=mcs)
 
 
 def test_configuration_index_round_trip():

@@ -32,6 +32,7 @@ apps = [SlottedApp("a", 2, 100, 1, 3.0, 20), SlottedApp("b", 3, 200, 1, 1.0, 10)
 slotted, _ = slotted_schedule(apps, full_26_tone_configuration(40), 12, window_n=None)
 assert slotted.total_profit > 0
 assert "scipy.optimize" not in sys.modules
+assert "multiprocessing" not in sys.modules  # only a worker pool imports it
 """
 
 

@@ -135,6 +135,12 @@ def _other_width(js, batches):
         "configuration: batch 0 uses illegal config"
 
 
+def _illegal_config(js, batches):
+    """A configuration that builds but is not in the 40 MHz table."""
+    return 0, replace(batches[0], config=RuConfiguration((1, 0, 0, 0, 0, 0), 40)), \
+        "configuration: batch 0 uses illegal config {1x26}"
+
+
 def _machine_out_of_range(js, batches):
     b = batches[0]
     (job_id, _), *rest = b.assignments
@@ -161,7 +167,7 @@ def _unknown_job(js, batches):
 
 
 VALIDATOR_MUTANTS = [_narrower_ru, _over_budget, _machines_disagree, _other_width,
-                     _machine_out_of_range, _unknown_job, _other_phy]
+                     _illegal_config, _machine_out_of_range, _unknown_job, _other_phy]
 
 
 @pytest.mark.parametrize("mutate", VALIDATOR_MUTANTS)
@@ -419,6 +425,48 @@ def test_overlay_free_ru_admission_on_the_kernel():
         assert batch.interval.start + d <= batch.interval.end
         airtime += machines[m].bandwidth * d
     assert utilization == airtime / (root_tones(20) * js.horizon)
+
+
+def _full_26_tone_factory(second_batch_jobs):
+    """A 20 MHz all-26-tone factory schedule of 100 B jobs of profit 10:
+    batch [0, 100] fills all nine RUs, and batch [101, 200] carries
+    ``second_batch_jobs`` more on its first RUs."""
+    config = full_26_tone_configuration(20)
+    machines = tuple(machines_for_configuration(config, PHY))
+    js = JobSet(jobs=tuple(Job(i, i, 0, 1_000, 10.0, 100) for i in range(9 + second_batch_jobs)),
+                horizon=1_000, seed=0)
+    batches = [Batch(Interval(0, 100), tuple((i, i) for i in range(9)), machines, config),
+               Batch(Interval(101, 200), tuple((9 + k, k) for k in range(second_batch_jobs)),
+                     machines, config)]
+    return js, make_schedule(batches, {j.id: j.profit for j in js.jobs})
+
+
+def test_overlay_escalates_each_arrived_packet_once_per_factory_batch():
+    # batch [0, 100] has no free RU, so packet 0, arrived at 0, misses it
+    # and escalates to (2 + 10) / 2 = 6; packet 1 arrives at 50, after that
+    # batch started, and keeps 2. Both ride batch [101, 200].
+    js, base = _full_26_tone_factory(1)
+    packets = [BestEffortPacket(0, 0, 100, 2.0), BestEffortPacket(1, 50, 100, 2.0)]
+    out, satisfaction, _ = best_effort_overlay(base, js, packets, 20, PHY)
+    assert satisfaction == 1.0
+    assert {10, 11} <= set(out.batches[1].job_ids)
+    assert out.total_profit == 10 * 10.0 + 6.0 + 2.0
+    be_jobs = tuple(Job(10 + p.id, -1, p.arrival_us, js.horizon, p.profit, p.size)
+                    for p in packets)
+    union = JobSet(jobs=js.jobs + be_jobs, horizon=js.horizon, seed=js.seed)
+    assert validate_schedule(out, union, 20, PHY, 4_000) == []
+
+
+def test_overlay_gives_the_last_free_ru_to_the_escalated_packet():
+    # batch [101, 200] leaves one free RU; packet 0, escalated from 2 to 6
+    # for missing batch [0, 100], outbids packet 1's 5
+    js, base = _full_26_tone_factory(8)
+    packets = [BestEffortPacket(0, 0, 100, 2.0), BestEffortPacket(1, 50, 100, 5.0)]
+    out, satisfaction, _ = best_effort_overlay(base, js, packets, 20, PHY)
+    assert out.batches[1].interval == Interval(101, 200)
+    assert (17, 8) in out.batches[1].assignments
+    assert 18 not in out.batches[1].job_ids
+    assert satisfaction == 1.0  # packet 1 goes in a batch after the factory's
 
 
 @pytest.mark.parametrize("arrival", [10_000, 12_345])

@@ -145,6 +145,15 @@ def test_app_without_nodes_rejected(node_count):
                         SlottedApp("b", 2, 50, 1, 1.0, 2)], 1)
 
 
+@pytest.mark.parametrize("period_slots, deadline_slots, message", [
+    (0, 0, "period must be at least one slot"),
+    (2, 2, "need 0 <= deadline < period"),
+])
+def test_app_period_and_deadline_rules(period_slots, deadline_slots, message):
+    with pytest.raises(ValueError, match=message):
+        SlottedApp("a", period_slots, 50, deadline_slots, 1.0)
+
+
 def window_graph_optimum(apps, config, horizon_slots):
     """Hungarian optimum of the full (slot, RU) graph of one window."""
     j_rus = sum(config.counts)

@@ -167,6 +167,11 @@ def test_parse_jobs_names_the_bad_line(text, where):
     assert str(info.value).startswith(where)
 
 
+def test_parse_jobs_without_header_ends_at_the_latest_deadline():
+    jobs = parse_jobs("0 0 0 100 1.0 10 0 a\n1 1 5 250 1.0 10 0 a\n")
+    assert (jobs.horizon, jobs.seed, len(jobs)) == (250, 0, 2)
+
+
 def test_parse_jobs_takes_any_horizon_header_without_jobs():
     assert parse_jobs("# horizon_us=0 seed=4\n") == JobSet(jobs=(), horizon=0, seed=4)
 
@@ -181,6 +186,15 @@ def test_profile_profit_must_be_finite_and_non_negative(profit):
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         ApplicationProfile("bad", 0, 10, 10, 1_000, 1, 1)
+    for fields, message in [(("bad", 100, 10, 10, 0, 1, 1), "deadline must be positive"),
+                            (("bad", 100, 10, 10, 1_000, 1, 0), "node_count must be >= 1"),
+                            (("bad", 100, 20, 10, 1_000, 1, 1), "bad size range"),
+                            (("bad", 100, 10, 10, 1_000, 1, 1, "burst"),
+                             "unknown arrival kind: burst")]:
+        with pytest.raises(ValueError, match=message):
+            ApplicationProfile(*fields)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        load_use_case("UC1", 0, 1)
     with pytest.raises(ValueError):
         arrivals(ApplicationProfile("bad", 2e6, 10, 10, 1_000, 1, 1))
     with pytest.raises(ValueError):
