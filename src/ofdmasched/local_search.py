@@ -44,11 +44,11 @@ changed.
 Each group of unscheduled jobs (one profit, per-class durations and
 deadline offset) keeps its releases as a sorted int64 array, which the
 sweeps and ``_items_for`` search vectorized, and its job ids as a plain
-list aligned with it. A commit zips id slices straight into assignments,
-drops them with one concatenation per pool it touches, and keeps only the
-ids; an eviction looks their releases up in the run's id -> release map
-and puts them back before the members of an equal release. That order
-breaks later ties, so it is part of the output.
+list aligned with it. A committed batch is its table row and the pool
+slices it took, each (group, releases, ids, first machine); the run reads
+its (id, machine) pairs off them once, at the end. An eviction puts the
+slices back in the order they were taken, before the members of an equal
+release. That order breaks later ties, so it is part of the output.
 
 Two vectorized bounds screen the intervals of one length before any is
 evaluated exactly. ``_sweep`` bounds each start of a range by the best
@@ -60,6 +60,8 @@ would give the interval's items under ``suffix_caps``: under nested
 capacities the best job count is a closed-form rank, so the value is
 that rank's increments per profit level, weighted by profit. Only starts
 whose value still beats twice their conflict weight reach ``_items_for``.
+Both screens read conflict weights as differences of cumulative sums,
+and both allow for their rounding (``_may_beat``).
 A chunk is computed against the pool and batches as they stand when the
 scalar loop reaches it, so later chunks see the earlier commits.
 
@@ -294,15 +296,6 @@ class _Group:
             self.ids.insert(p, i)
 
 
-class _CommittedBatch:
-    __slots__ = ("assignments", "row", "pool_refs")
-
-    def __init__(self, assignments, row, pool_refs):
-        self.assignments = assignments      # (job_id, machine_index) pairs, unsorted
-        self.row = row                      # of the configuration table
-        self.pool_refs = pool_refs          # (group, ids) per pool slice taken
-
-
 class _Engine:
     """Local search over one configuration table.
 
@@ -336,8 +329,9 @@ class _Engine:
         self._build_groups(jobset, [TONE_CLASSES.index(c) for c in classes],
                            np.nonzero(active)[0])
         # committed batches, disjoint and so sorted by t1 and by t2 alike,
-        # with their starts, ends and weights in aligned lists
-        self.batches: list[_CommittedBatch] = []
+        # with their starts, ends and weights in aligned lists; a batch is
+        # (table row, slices), as ``_commit`` builds it
+        self.batches: list[tuple[int, list[tuple]]] = []
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.weights: list[float] = []
@@ -357,7 +351,6 @@ class _Engine:
     # ---- pool construction -------------------------------------------------
 
     def _build_groups(self, jobset, table_cols, active):
-        self.release_of = {job.id: job.release for job in jobset.jobs}
         members = {}
         for job in jobset.jobs:
             off = _UNBOUND if job.deadline_abs >= self.horizon else job.deadline_abs - job.release
@@ -413,6 +406,14 @@ class _Engine:
         hi = starts.searchsorted(t2v, side="right")
         lo = ends.searchsorted(t1v, side="left")
         return cumw[hi] - cumw[lo]
+
+    def _may_beat(self, bound, t1v, t2v):
+        """Where a profit ``bound`` of [t1v, t2v] may beat twice its conflict
+        weight. A bound of 0 never passes; otherwise keep a margin for the
+        rounding of cumulative weights, whose differences err with their total."""
+        cw = self._conflict_weight_vector(t1v, t2v)
+        total_w = self._conflict_arrays()[2][-1]
+        return (bound > 0) & (bound * (1 + 1e-12) + 2e-12 * total_w > 2.0 * cw)
 
     # ---- per-interval evaluation -------------------------------------------
 
@@ -478,16 +479,16 @@ class _Engine:
         # [suffix[k + 1], suffix[k]), with suffix[K] = 0
         suffix = self.cfg_suffix[row].tolist()
         slot = suffix[1:] + [0]
-        assignments, pool_refs, removals = [], [], {}
+        slices, removals = [], {}
         for _, c, take, (gi, lo) in sorted(takes, key=lambda t: -t[1]):
             g = self.groups[gi]
             removals.setdefault(g, []).append((lo, take))
             for cls in range(c, self.K):
                 n = min(suffix[cls] - slot[cls], take)
                 if n > 0:
-                    ids = g.ids[lo: lo + n]
-                    pool_refs.append((g, ids))
-                    assignments += zip(ids, range(slot[cls], slot[cls] + n))
+                    # a list, not a view, which would pin the whole pool array
+                    slices.append((g, g.releases[lo: lo + n].tolist(), g.ids[lo: lo + n],
+                                   slot[cls]))
                     slot[cls] += n
                     lo += n
                     take -= n
@@ -498,14 +499,15 @@ class _Engine:
         for g, spans in removals.items():
             g.remove(spans)
 
+        # put evicted slices back in the order they were taken (it breaks ties)
         evicted = self.batches[lo_b:hi_b]
-        for b in evicted:
-            for g, ids in b.pool_refs:
-                g.add([self.release_of[i] for i in ids], ids)
+        for _, taken in evicted:
+            for g, releases, ids, _ in taken:
+                g.add(releases, ids)
 
         # every batch before lo_b ends before t1 and every one from hi_b on
         # starts after t2, so the new batch takes the evicted ones' place
-        self.batches[lo_b:hi_b] = [_CommittedBatch(assignments, row, pool_refs)]
+        self.batches[lo_b:hi_b] = [(row, slices)]
         self.starts[lo_b:hi_b] = [t1]
         self.ends[lo_b:hi_b] = [t2]
         self.weights[lo_b:hi_b] = [weight]
@@ -537,8 +539,7 @@ class _Engine:
             take = np.minimum(cnt, slots_left)
             bound += grp.profit * take
             slots_left -= take
-        mask = bound > 2.0 * self._conflict_weight_vector(t1v, t2v)
-        return from_idx + np.nonzero(mask)[0]
+        return from_idx + np.nonzero(self._may_beat(bound, t1v, t2v))[0]
 
     def _tighten(self, chunk, length):
         """``_greedy``'s value under ``suffix_caps`` of each start (grid
@@ -568,12 +569,7 @@ class _Engine:
             rank = (acc[:, :1] - acc + self.caps_ext).min(axis=1)
             value += profit * (rank - prev)
             prev = rank
-        cw = self._conflict_weight_vector(t1v, t1v + length)
-        # a value of 0 is exact and never passes; otherwise the sums round
-        # unlike _greedy's and _conflict_range's (a difference of cumulative
-        # weights errs with their total), so keep a margin for that
-        total_w = self._conflict_arrays()[2][-1]
-        return value, (value > 0) & (value * (1 + 1e-12) + 2e-12 * total_w > 2.0 * cw)
+        return value, self._may_beat(value, t1v, t1v + length)
 
     def _relaxed(self, starts, length):
         """The starts of ``starts`` that ``_tighten`` keeps, tightened a chunk
@@ -652,9 +648,11 @@ class _Engine:
                 block *= 2
         profit_of = {j.id: j.profit for j in self.jobset.jobs}
         batches = [
-            Batch(interval=Interval(t1, t2), assignments=tuple(sorted(b.assignments)),
-                  machines=tuple(self.machines(b.row)), config=self.configs[b.row])
-            for t1, t2, b in zip(self.starts, self.ends, self.batches)
+            Batch(interval=Interval(t1, t2),
+                  assignments=tuple(sorted(pair for _, _, ids, m in slices
+                                           for pair in zip(ids, itertools.count(m)))),
+                  machines=tuple(self.machines(row)), config=self.configs[row])
+            for t1, t2, (row, slices) in zip(self.starts, self.ends, self.batches)
         ]
         return make_schedule(batches, profit_of), self.stats
 

@@ -341,14 +341,14 @@ def best_effort_overlay(
         raise ValueError(f"best-effort packet {late.id} arrives at {late.arrival_us} us, "
                          f"not before the horizon {horizon} us")
     first = max((j.id for j in jobs.jobs), default=-1) + 1
-    release_of = attrgetter("release")
+    by_release = attrgetter("release")
     # unserved packets in release order, each a job at its current profit
     waiting = sorted((Job(first + p.id, -1, p.arrival_us, horizon, p.profit, p.size, False,
-                          "best-effort") for p in be_packets), key=release_of)
+                          "best-effort") for p in be_packets), key=by_release)
     served: dict[int, Job] = {}
 
     def arrived(t):
-        return bisect.bisect_right(waiting, t, key=release_of)
+        return bisect.bisect_right(waiting, t, key=by_release)
 
     def serve(placed, t):
         served.update((j.id, j) for j in placed)
@@ -395,7 +395,7 @@ def best_effort_overlay(
 
     augmented = []
     gap_batches = []
-    cursor = 0
+    cursor = -1  # end of the last factory batch; the first gap starts at 0
     for batch in sorted(base_schedule.batches, key=lambda b: b.interval.start):
         start = batch.interval.start
         if start - cursor > 1:

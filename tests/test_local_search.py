@@ -500,6 +500,12 @@ def assert_same_trajectory(schedule, stats, committed, scheduled, log):
        st.sampled_from([RuToneClass.RU26, RuToneClass.RU52, RuToneClass.RU106]),
        st.integers(2, 4))
 @example(evicting_instance(3, 2, 20, 40), 1, RuToneClass.RU26, 2)
+# job 2 is worth a hair more than twice job 1, which ``_sweep`` reads off
+# cumulative weights as 0.30000000004656613: the sweep must still keep
+# start 32, and commit job 2 by evicting job 1
+@example(JobSet(jobs=(Job(0, 0, 0, 16, 1e6, 20), Job(1, 1, 32, 48, 0.3, 20),
+                      Job(2, 2, 32, 64, 0.6000000000001, 50)), horizon=64, seed=0),
+         1, RuToneClass.RU26, 2)
 def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_units):
     machines = [machine(RuToneClass.RU26, 0)] + \
         [machine(widest, i) for i in range(1, n_machines)]
@@ -514,6 +520,11 @@ def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_uni
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(micro_instances(max_jobs=5), st.integers(1, 3))
+# the relaxed value of [16, 32] is 40, but its best configuration takes
+# only 20, exactly twice job 0's 10: the exact commit test must not evict
+@example(JobSet(jobs=(Job(0, 0, 0, 16, 10.0, 20), Job(1, 1, 16, 32, 20.0, 200),
+                      Job(2, 2, 16, 32, 10.0, 100), Job(3, 3, 16, 32, 10.0, 100)),
+                horizon=32, seed=0), 1)
 def test_lsds_follows_reference_trajectory(jobset, txop_units):
     txop = 16 * txop_units
     schedule, stats = lsds_run(jobset, 20, PHY0, txop=txop, grid_us=16)
@@ -685,6 +696,20 @@ def test_engine_counters_repeat_and_add_up(use_case, width, horizon, txop):
     assert first.config_searches <= first.exact_evaluations
     assert first.restarts <= first.evictions
     assert first.config_rows <= first.config_searches_computed * len(config_table(160).counts)
+
+
+def test_evicted_slices_go_back_in_the_order_taken():
+    # jobs 0 and 1 are alike. [16, 32] puts job 0 on the 26-tone RU (machine
+    # 2) and job 1 on a 106-tone one: two slices of one pool. [32, 48]
+    # evicts them, and each slice goes back before equal releases in the
+    # order taken, so job 1 leads the pool and takes the 26-tone RU at [64, 80]
+    jobs = JobSet(jobs=(Job(0, 0, 16, 96, 3.0, 7), Job(1, 1, 16, 96, 3.0, 7),
+                        Job(2, 2, 32, 128, 40.0, 57), Job(3, 3, 32, 128, 40.0, 57)),
+                  horizon=160, seed=0)
+    schedule, stats = lsds_run(jobs, 20, PHY0, txop=64, grid_us=16)
+    assert stats.evictions == 1
+    assert [(b.interval.start, b.assignments) for b in schedule.batches] == \
+        [(32, ((2, 0), (3, 1))), (64, ((0, 0), (1, 2)))]
 
 
 @settings(max_examples=300, deadline=None)

@@ -427,6 +427,22 @@ def test_overlay_free_ru_admission_on_the_kernel():
     assert utilization == airtime / (root_tones(20) * js.horizon)
 
 
+@pytest.mark.parametrize("factory_batches", [0, 1])
+def test_overlay_fills_idle_time_from_zero(factory_batches):
+    # a packet that arrives at 0 goes out at 0 on the root RU, whether the
+    # first factory batch starts later or there is none
+    config = full_26_tone_configuration(20)
+    machines = tuple(machines_for_configuration(config, PHY))
+    js = JobSet(jobs=(Job(0, 0, 500, 1_000, 10.0, 100),), horizon=1_000, seed=0)
+    batches = [Batch(Interval(500, 600), ((0, 0),), machines, config)][:factory_batches]
+    packets = [BestEffortPacket(0, 0, 100, 2.0)]
+    out, satisfaction, _ = best_effort_overlay(make_schedule(batches, {0: 10.0}), js, packets,
+                                               20, PHY)
+    assert satisfaction == 1.0
+    (gap,) = [b for b in out.batches if 1 in b.job_ids]
+    assert gap.interval == Interval(0, 16)
+
+
 def _full_26_tone_factory(second_batch_jobs):
     """A 20 MHz all-26-tone factory schedule of 100 B jobs of profit 10:
     batch [0, 100] fills all nine RUs, and batch [101, 200] carries
