@@ -92,7 +92,9 @@ def dump_schedule(schedule: Schedule) -> str:
     """Line format: ``batch_idx t1_us t2_us config_id job_id machine_id``.
 
     ``config_id`` is the configuration's stable index within its channel
-    width, or -1 for batches built from an explicit machine list.
+    width, or -1 for batches built from an explicit machine list
+    (``lsdsf_run`` without ``config``). ``-1`` lines are write-only:
+    ``parse_schedule`` reads a batch's machines off its configuration.
     """
     lines = []
     for idx, b in enumerate(schedule.batches):
@@ -120,7 +122,9 @@ def parse_schedule(
             if job not in profit_of:
                 raise ValueError(f"job {job} is not in the job set")
             if not 0 <= cfg < len(table.configs):
-                raise ValueError(f"configuration {cfg} is not in the {channel_width} MHz table")
+                write_only = " (-1 marks a batch on an explicit machine list, which is write-only)"
+                raise ValueError(f"configuration {cfg} is not in the {channel_width} MHz table"
+                                 f"{write_only if cfg == -1 else ''}")
             n_machines = table.configs[cfg].total_rus
             if not 0 <= mach < n_machines:
                 raise ValueError(f"machine {mach} is not among the {n_machines} machines "

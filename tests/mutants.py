@@ -50,6 +50,7 @@ FREE_RUS = "tests/test_simulator.py::test_overlay_admits_best_effort_on_free_rus
 POOL_ORDER = "tests/test_local_search.py::test_pool_remove_and_add_keep_release_order"
 JOB_CHECKS = "tests/test_workload.py::test_job_checks_hold_on_every_constructor"
 SCORER = "tests/test_benchmarks.py::test_rounds_match_the_matrix_scorer"
+LSDSF_TRAJECTORY = "tests/test_local_search.py::test_lsdsf_follows_reference_trajectory"
 
 # Documented equivalents, kept out of the table because no test can kill them:
 # - ``_scan``'s ``value1 <= 2.0 * conflict_w`` to ``<``: the configuration
@@ -89,7 +90,20 @@ MUTANTS = [
     Mutant("sweep without its rounding margin", "src/ofdmasched/local_search.py",
            "np.nonzero(self._may_beat(bound, t1v, t2v))",
            "np.nonzero(bound > 2.0 * self._conflict_weight_vector(t1v, t2v))",
-           ("tests/test_local_search.py::test_lsdsf_follows_reference_trajectory",)),
+           (LSDSF_TRAJECTORY,)),
+    Mutant("skip ignores evictions", "src/ofdmasched/local_search.py",
+           "self.stats.restarts += 1\n                    evicted = True\n",
+           "self.stats.restarts += 1\n", (LSDSF_TRAJECTORY,)),
+    Mutant("fit lengths from the fastest class only", "src/ofdmasched/local_search.py",
+           "for d in g.durations}", "for d in g.durations[-1:]}",
+           (LSDSF_TRAJECTORY,
+            "tests/test_local_search.py::test_skipped_lengths_keep_the_trajectory")),
+    Mutant("re-screen without its margin", "src/ofdmasched/local_search.py",
+           "if bound * (1 + 1e-12) <= 2.0 * conflict_w:", "if bound <= 2.0 * conflict_w:",
+           (LSDSF_TRAJECTORY,)),
+    Mutant("conflict sum compensates rounding", "src/ofdmasched/local_search.py",
+           "functools.reduce(operator.add, values, 0.0)", '__import__("math").fsum(values)',
+           ("tests/test_local_search.py::test_conflict_weight_sums_left_to_right",)),
     Mutant("lsds evicts at an exact tie", "src/ofdmasched/local_search.py",
            "if value <= 2.0 * conflict_w:", "if value < 2.0 * conflict_w:",
            ("tests/test_local_search.py::test_lsds_follows_reference_trajectory",)),

@@ -4,10 +4,12 @@ These walk the same double loop as the production schedulers but solve
 every interval with the Hungarian-based max_profit / configuration search
 of ``oracles.matching``, keeping no incremental state. Pass a list as
 ``log`` to receive each commit's (weight, evicted weight), in the order of
-``LocalSearchStats.commit_log``.
+``LocalSearchStats.commit_log``. Evicted weights are summed left to right,
+as the engine sums them, on every Python version.
 """
 
 from oracles.matching import lsds_config_search, max_profit
+from ofdmasched.local_search import _fold_sum
 from ofdmasched.scheduling import Interval, conflicts
 
 
@@ -23,7 +25,7 @@ def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None, log=None):
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             matching, matched = max_profit(pool, interval, machines)
             conflicting = [c for c in committed if conflicts(c[0], interval)]
-            evicted_weight = sum(c[2] for c in conflicting)
+            evicted_weight = _fold_sum(c[2] for c in conflicting)
             if matching.total_weight > 2 * evicted_weight:
                 if log is not None:
                     log.append((matching.total_weight, evicted_weight))
@@ -48,7 +50,7 @@ def reference_lsds(jobset, channel_width, phy, txop, grid_us, horizon=None, log=
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             config, matching, matched = lsds_config_search(pool, interval, channel_width, phy)
             conflicting = [c for c in committed if conflicts(c[0], interval)]
-            evicted_weight = sum(c[2] for c in conflicting)
+            evicted_weight = _fold_sum(c[2] for c in conflicting)
             if matching.total_weight > 2 * evicted_weight:
                 if log is not None:
                     log.append((matching.total_weight, evicted_weight))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ofdmasched import experiment, simulator
 from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
+from ofdmasched.local_search import lsdsf_run
 from ofdmasched.phy import (CHANNEL_WIDTHS, PhyProfile, full_26_tone_configuration,
                              machines_for_configuration)
 from ofdmasched.scheduling import (Batch, Interval, dump_schedule, make_schedule,
@@ -329,6 +330,20 @@ def test_parse_schedule_names_the_bad_line(text, where):
     with pytest.raises(ValueError) as info:
         parse_schedule(text, {1: 1.0, 2: 1.0}, 40, PhyProfile())
     assert str(info.value).startswith(where)
+
+
+def test_a_bare_machine_schedule_is_write_only():
+    # lsdsf_run on a machine list without a configuration dumps config -1
+    jobs = load_use_case("UC4", 20_000, seed=1)
+    machines = machines_for_configuration(full_26_tone_configuration(40), PhyProfile())
+    text = dump_schedule(lsdsf_run(jobs, machines)[0])
+    first = text.splitlines()[0]
+    assert first.split()[3] == "-1"
+    with pytest.raises(ValueError) as info:
+        parse_schedule(text, {j.id: j.profit for j in jobs.jobs}, 40, PhyProfile())
+    assert str(info.value) == (f"line 1: {first!r}: configuration -1 is not in the 40 MHz "
+                               "table (-1 marks a batch on an explicit machine list, "
+                               "which is write-only)")
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))

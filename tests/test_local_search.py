@@ -91,6 +91,19 @@ def test_swap_requires_strictly_more_than_double():
     assert s.scheduled_jobs == {1}
 
 
+def test_conflict_weight_sums_left_to_right():
+    # ten batches of 0.1 fold left to 0.9999999999999999, so job 10's 2.0
+    # beats twice their weight and evicts them all; a compensated sum, as
+    # sum() computes from Python 3.12 on, reads 1.0 and keeps jobs 0-9
+    jobs = tuple(Job(i, i, 32 * i, 32 * i + 16, 0.1, 20) for i in range(10)) \
+        + (Job(10, 10, 0, 320, 2.0, 475),)
+    schedule, stats = lsdsf_run(JobSet(jobs=jobs, horizon=320, seed=0),
+                                [machine(RuToneClass.RU26, 0)], txop=320, grid_us=16)
+    assert stats.evictions == 10
+    assert [(b.interval.start, b.interval.end, b.assignments) for b in schedule.batches] \
+        == [(0, 304, ((10, 0),))]
+
+
 def test_engine_matches_reference_lsdsf_trajectory():
     rng = random.Random(101)
     for _ in range(40):
@@ -506,6 +519,25 @@ def assert_same_trajectory(schedule, stats, committed, scheduled, log):
 @example(JobSet(jobs=(Job(0, 0, 0, 16, 1e6, 20), Job(1, 1, 32, 48, 0.3, 20),
                       Job(2, 2, 32, 64, 0.6000000000001, 50)), horizon=64, seed=0),
          1, RuToneClass.RU26, 2)
+# the length after an eviction has no duration that first fits it, and
+# still commits: the reference's fourth commit is (4.0, 0)
+@example(JobSet(jobs=(Job(0, 0, 112, 176, 256.0, 100), Job(1, 1, 16, 112, 4.0, 100),
+                      Job(2, 2, 64, 128, 32.0, 100), Job(3, 3, 32, 128, 2.0, 50),
+                      Job(4, 4, 144, 176, 16.0, 75)), horizon=176, seed=0),
+         1, RuToneClass.RU26, 6)
+# the (272.0, 128.0) commit comes at a length where a duration on the
+# 26-tone RU first fits, though none on the 106-tone one does
+@example(JobSet(jobs=(Job(0, 0, 0, 128, 32.0, 93), Job(1, 1, 64, 144, 128.0, 145),
+                      Job(2, 2, 48, 128, 256.0, 253), Job(3, 3, 48, 144, 64.0, 86),
+                      Job(4, 4, 32, 144, 16.0, 97)), horizon=144, seed=0),
+         2, RuToneClass.RU106, 4)
+# job 0 commits on [0, 16]; [0, 32] is worth (1.0 + 0.1) + 0.1 =
+# 1.2000000000000002 > 2 * 0.6, but its chunk value reads 1.0 + 0.1 * 2 =
+# 1.2: the re-screen against the conflict weight must keep its margin
+@example(JobSet(jobs=(Job(0, 0, 0, 16, 0.6, 20), Job(1, 1, 0, 32, 1.0, 30),
+                      Job(2, 2, 0, 32, 0.1, 30), Job(3, 3, 0, 48, 0.1, 30)),
+                horizon=64, seed=0),
+         3, RuToneClass.RU26, 2)
 def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_units):
     machines = [machine(RuToneClass.RU26, 0)] + \
         [machine(widest, i) for i in range(1, n_machines)]
@@ -576,21 +608,27 @@ def checking_tighten(chunks):
     return checked
 
 
+# profits near ties: 0.6000000000001 is a hair more than twice 0.3, and
+# none of the small ones adds exactly in binary
+NEAR_TIES = (0.1, 0.2, 0.3, 0.6, 0.6000000000001, 1.2, 1e6)
+
+
 @st.composite
-def crowded_instances(draw, distinct_profits=False):
-    """Up to 40 jobs over up to 150 grid steps of 16 us, released off the
-    grid within a drawn spread, so that some intervals admit more jobs than
-    fit and some jobs are released inside an interval. Profits
-    come from a few values that do not add exactly in binary, so groups
-    share profit levels and the vector sums round unlike the scalar ones;
-    sweeps reach a second chunk and evictions happen.
+def crowded_instances(draw, distinct_profits=False, profits=(0.0, 0.1, 0.3, 1.0, 2.7, 7.0),
+                      max_jobs=40):
+    """Up to ``max_jobs`` jobs over up to 150 grid steps of 16 us, released
+    off the grid within a drawn spread, so that some intervals admit more
+    jobs than fit and some jobs are released inside an interval. Profits
+    come from ``profits``, a few values that do not add exactly in binary,
+    so groups share profit levels and the vector sums round unlike the
+    scalar ones; sweeps reach a second chunk and evictions happen.
 
     With ``distinct_profits`` each job's profit is a distinct power of two
     instead, so every exact solver picks the same job sets and sums them
     exactly, and the reference trajectory can be compared."""
     steps = draw(st.integers(1, 150))
     spread = draw(st.integers(0, steps - 1))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_jobs))
     exps = draw(st.lists(st.integers(0, 45), min_size=n, max_size=n, unique=True)) \
         if distinct_profits else None
     jobs = []
@@ -598,7 +636,7 @@ def crowded_instances(draw, distinct_profits=False):
         release = draw(st.integers(0, 16 * spread))
         deadline = release + draw(st.integers(1, 200))
         profit = float(2 ** exps[i]) if distinct_profits else \
-            draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.7, 7.0]))
+            draw(st.sampled_from(profits))
         jobs.append(Job(id=i, station=i, release=release, deadline_abs=deadline,
                         profit=profit, size=draw(st.integers(1, 400))))
     return JobSet(jobs=tuple(jobs), horizon=16 * steps, seed=0)
@@ -630,6 +668,24 @@ def test_tightened_values_are_the_scalar_greedy_values(jobset, txop_units, sched
     assert stats.bound_rejects + stats.exact_evaluations <= sum(chunks) <= stats.sweep_survivors
 
 
+TWO_CLASSES = [machine(RuToneClass.RU26, 0), machine(RuToneClass.RU106, 1)]
+
+
+def run_crowded(jobset, txop, scheduler):
+    """``lsds_run`` at 20 or 40 MHz (``"lsds20"``, ``"lsds40"``), or
+    ``lsdsf_run`` on a 26-tone and a 106-tone RU (``"lsdsf"``)."""
+    if scheduler == "lsdsf":
+        return lsdsf_run(jobset, TWO_CLASSES, txop=txop, grid_us=16)
+    return lsds_run(jobset, int(scheduler[4:]), PHY0, txop=txop, grid_us=16)
+
+
+def trajectory(stats):
+    # sweep survivors and exact evaluations may differ between two scans
+    # that bound their starts after different commits
+    return (stats.candidate_intervals, stats.commits, stats.evictions, stats.restarts,
+            stats.commit_log)
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(crowded_instances().map(lambda jobset: (jobset, False)),
                  crowded_instances(distinct_profits=True).map(lambda jobset: (jobset, True))),
@@ -639,37 +695,59 @@ def test_restart_blocks_keep_the_trajectory(case, txop_units, scheduler):
     # after an eviction; every block size must give the same commits
     jobset, distinct = case
     txop = 16 * txop_units
-    machines = [machine(RuToneClass.RU26, 0), machine(RuToneClass.RU106, 1)]
-
-    def run():
-        if scheduler == "lsdsf":
-            return lsdsf_run(jobset, machines, txop=txop, grid_us=16)
-        return lsds_run(jobset, int(scheduler[4:]), PHY0, txop=txop, grid_us=16)
-
-    def trajectory(stats):
-        # sweep survivors and exact evaluations may differ: a later block
-        # is bounded after more commits
-        return (stats.candidate_intervals, stats.commits, stats.evictions, stats.restarts,
-                stats.commit_log)
-
-    schedule, stats = run()
+    schedule, stats = run_crowded(jobset, txop, scheduler)
     for block in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(local_search, "_BLOCK", block)
-            small_schedule, small_stats = run()
+            small_schedule, small_stats = run_crowded(jobset, txop, scheduler)
         assert small_schedule == schedule
         assert trajectory(small_stats) == trajectory(stats)
     if not distinct:
         return  # equal profits let exact solvers pick different job sets
     log = []
     if scheduler == "lsdsf":
-        committed, scheduled = reference_lsdsf(jobset, machines, txop=txop, grid_us=16, log=log)
+        committed, scheduled = reference_lsdsf(jobset, TWO_CLASSES, txop=txop, grid_us=16,
+                                               log=log)
     else:
         committed, scheduled = reference_lsds(jobset, int(scheduler[4:]), PHY0, txop=txop,
                                               grid_us=16, log=log)
         assert {(b.interval.start, b.interval.end): b.config.counts for b in schedule.batches} \
             == {(c[0].start, c[0].end): c[3].counts for c in committed}
     assert_same_trajectory(schedule, stats, committed, scheduled, log)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(crowded_instances(), crowded_instances(distinct_profits=True),
+                 crowded_instances(profits=NEAR_TIES, max_jobs=12)),
+       st.integers(1, 6), st.sampled_from(["lsds20", "lsds40", "lsdsf"]))
+def test_skipped_lengths_keep_the_trajectory(jobset, txop_units, scheduler):
+    # a length outside the fit lengths gives every start the items it had
+    # one length earlier
+    txop = 16 * txop_units
+    engines = []
+    with pytest.MonkeyPatch.context() as mp:
+        run = local_search._Engine.run
+        mp.setattr(local_search._Engine, "run", lambda self: engines.append(self) or run(self))
+        schedule, stats = run_crowded(jobset, txop, scheduler)
+    engine, = engines
+    fit = engine._fit_lengths()
+
+    def shifts(l_units):
+        rows, first = engine._shifts(l_units * engine.grid)
+        return [row.tolist() for row in rows], first
+
+    for l_units in range(2, engine.delta_units + 1):
+        if l_units not in fit:
+            assert shifts(l_units) == shifts(l_units - 1)
+    # with every length counted as a fit length the engine scans them all,
+    # as the plain search does; skipping the others must change no commit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_search._Engine, "_fit_lengths",
+                   lambda self: range(1, self.delta_units + 1))
+        full_schedule, full_stats = run_crowded(jobset, txop, scheduler)
+    assert full_stats.lengths_skipped == 0
+    assert full_schedule == schedule
+    assert trajectory(full_stats) == trajectory(stats)
 
 
 def test_tightened_values_through_evictions_and_chunks():
@@ -695,6 +773,8 @@ def test_engine_counters_repeat_and_add_up(use_case, width, horizon, txop):
     assert first.bound_rejects + first.exact_evaluations <= first.sweep_survivors
     assert first.config_searches <= first.exact_evaluations
     assert first.restarts <= first.evictions
+    # the first length is always scanned
+    assert 0 < first.lengths_skipped <= min(txop, horizon) // 16 - 1
     assert first.config_rows <= first.config_searches_computed * len(config_table(160).counts)
 
 
