@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -157,6 +156,7 @@ def _rep_worker(args):
 
 
 def _confidence(values):
+    import statistics  # only repetitions need it, and it loads fractions and decimal
     half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
     return statistics.fmean(values), half
 
@@ -208,7 +208,8 @@ def run(config: ExperimentConfig) -> MetricsRow:
                 "profit_ratio_mean": ratio_mean, "profit_ratio_ci95": ratio_ci,
                 "drop_pct_mean": drop_mean, "drop_pct_ci95": drop_ci,
             }
-        (out / "report.json").write_text(json.dumps(payload, indent=2))
+        # no indent: CPython's C encoder runs only without it
+        (out / "report.json").write_text(json.dumps(payload))
     return rows[0]
 
 

@@ -2,7 +2,11 @@
 
 The legal configurations of a channel width are the RU multisets its
 root RU(s) reach under the standard's split grammar; the most RUs of
-each class a width holds follows from them. ``config_table`` and
+each class a width holds follows from them. The enumeration packs each
+count vector into one int, 7 bits per tone class, so splitting RUs side by
+side sums ints; no class count passes 74 (160 MHz's 26-tone RUs), so no
+field carries. The vectors are decoded once, in the (total RUs, counts)
+order that fixes configuration ids. ``config_table`` and
 ``class_durations`` are the cached configuration arrays, ids and
 per-class durations that the schedulers share; the validator derives
 its durations from ``tx_duration`` on its own, as do the exact oracles
@@ -193,10 +197,6 @@ class RuConfiguration:
     def total_rus(self) -> int:
         return sum(self.counts)
 
-    def sort_key(self) -> tuple:
-        """Deterministic order: fewer RUs first, then counts lexicographically."""
-        return (self.total_rus, self.counts)
-
     def ru_classes_desc(self) -> list[RuToneClass]:
         """RU instances of this configuration, widest first."""
         out = []
@@ -209,49 +209,46 @@ class RuConfiguration:
         return "{" + ",".join(parts) + "}" if parts else "{}"
 
 
-def _split_vectors(classes) -> frozenset[tuple[int, ...]]:
-    """Count vectors reachable by splitting each RU of ``classes`` on its own."""
-    vectors = {(0,) * len(TONE_CLASSES)}
+_FIELD_BITS = 7  # bits per tone class (ascending) of a packed count vector
+
+
+@functools.lru_cache(maxsize=None)
+def _split_keys(classes: tuple[RuToneClass, ...]) -> frozenset[int]:
+    """Packed count vectors reachable by splitting each RU of ``classes`` on its own."""
+    keys = {0}
     for cls in classes:
-        vectors = {tuple(x + y for x, y in zip(a, b))
-                   for a in vectors for b in _class_config_vectors(cls)}
-    return frozenset(vectors)
+        own = {1 << _FIELD_BITS * TONE_CLASSES.index(cls)}
+        if cls in _SPLITS:
+            own |= _split_keys(_SPLITS[cls])
+        keys = {a + b for a in keys for b in own}
+    return frozenset(keys)
 
 
 @functools.lru_cache(maxsize=None)
-def _class_config_vectors(cls: RuToneClass) -> frozenset[tuple[int, ...]]:
-    """Count vectors reachable from a single RU of class ``cls``."""
-    base = [0] * len(TONE_CLASSES)
-    base[TONE_CLASSES.index(cls)] = 1
-    splits = _split_vectors(_SPLITS[cls]) if cls in _SPLITS else frozenset()
-    return splits | {tuple(base)}
-
-
-@functools.lru_cache(maxsize=None)
-def _width_vectors(channel_width: int) -> frozenset[tuple[int, ...]]:
-    """Count vectors reachable from the channel's root RU(s)."""
+def _width_counts(channel_width: int) -> tuple[tuple[int, ...], ...]:
+    """Count vectors of the channel's configurations, in (total RUs, counts) order."""
     _check_width(channel_width)
-    return _split_vectors(_CHANNEL_ROOTS[channel_width])
+    mask = (1 << _FIELD_BITS) - 1
+    shifts = range(0, _FIELD_BITS * len(TONE_CLASSES), _FIELD_BITS)
+    counts = [tuple(key >> s & mask for s in shifts)
+              for key in _split_keys(_CHANNEL_ROOTS[channel_width])]
+    return tuple(sorted(counts, key=lambda c: (sum(c), c)))
 
 
 @functools.lru_cache(maxsize=None)
 def _max_counts(channel_width: int) -> tuple[int, ...]:
     """Most RUs of each tone class (ascending) that the channel holds."""
-    return tuple(map(max, zip(*_width_vectors(channel_width))))
+    return tuple(map(max, zip(*_width_counts(channel_width))))
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_configurations(channel_width: int) -> tuple[RuConfiguration, ...]:
-    """All distinct RU configurations for a channel width.
+    """All distinct RU configurations for a channel width, in id order.
 
-    Configurations are every multiset reachable from the channel's root
-    RU(s) by recursive splitting, deduplicated by multiset equality, and
-    returned in the deterministic (total RUs, counts) order used for
-    configuration ids.
+    A configuration is a multiset the channel's root RU(s) reach by
+    recursive splitting; ids follow fewer RUs first, then counts.
     """
-    configs = [RuConfiguration(v, channel_width) for v in _width_vectors(channel_width)]
-    configs.sort(key=RuConfiguration.sort_key)
-    return tuple(configs)
+    return tuple(RuConfiguration(c, channel_width) for c in _width_counts(channel_width))
 
 
 def configuration_index(config: RuConfiguration) -> int:
@@ -290,14 +287,16 @@ class ConfigTable:
 
     def __init__(self, channel_width: int):
         self.configs = enumerate_configurations(channel_width)
-        self.index = {c.counts: i for i, c in enumerate(self.configs)}
-        self.counts = np.array([c.counts for c in self.configs], dtype=np.int64)
+        counts = _width_counts(channel_width)
+        self.index = {c: i for i, c in enumerate(counts)}
+        self.counts = np.array(counts, dtype=np.int64)
         self.suffix = self.counts[:, ::-1].cumsum(axis=1)[:, ::-1]
-        width = max(c.total_rus for c in self.configs)
-        self.class_mat = np.full((len(self.configs), width), -1, dtype=np.int8)
-        for i, cfg in enumerate(self.configs):
-            classes = [TONE_CLASSES.index(cls) for cls in cfg.ru_classes_desc()]
-            self.class_mat[i, : len(classes)] = classes
+        # each row's class indices, widest first, then -1s (a mask fills row by row)
+        rus = self.suffix[:, 0]
+        widest_first = np.tile(np.arange(len(TONE_CLASSES))[::-1], len(counts))
+        self.class_mat = np.full((len(counts), rus.max()), -1, dtype=np.int8)
+        self.class_mat[np.arange(rus.max()) < rus[:, None]] = np.repeat(
+            widest_first, self.counts[:, ::-1].ravel())
         self._machines: dict[tuple[int, PhyProfile], tuple[Machine, ...]] = {}
 
     def machines(self, index: int, phy: PhyProfile) -> tuple[Machine, ...]:

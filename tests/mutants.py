@@ -51,6 +51,8 @@ POOL_ORDER = "tests/test_local_search.py::test_pool_remove_and_add_keep_release_
 JOB_CHECKS = "tests/test_workload.py::test_job_checks_hold_on_every_constructor"
 SCORER = "tests/test_benchmarks.py::test_rounds_match_the_matrix_scorer"
 LSDSF_TRAJECTORY = "tests/test_local_search.py::test_lsdsf_follows_reference_trajectory"
+EXPORTS = ("tests/test_runtime_deps.py::test_package_exports_are_their_home_modules_objects",
+           "tests/test_runtime_deps.py::test_import_loads_no_scheduler_side_module")
 
 # Documented equivalents, kept out of the table because no test can kill them:
 # - ``_scan``'s ``value1 <= 2.0 * conflict_w`` to ``<``: the configuration
@@ -129,6 +131,13 @@ MUTANTS = [
     Mutant("validator rejects a job ending at its batch end", "src/ofdmasched/simulator.py",
            "t1 + p > t2", "t1 + p >= t2",
            ("tests/test_simulator.py::test_run_scenario_conservation_and_registry",)),
+    Mutant("packed count fields 6 bits wide", "src/ofdmasched/phy.py",
+           "_FIELD_BITS = 7", "_FIELD_BITS = 6",
+           ("tests/test_phy.py::test_enumerate_matches_brute_force_all_widths",)),
+    Mutant("Job exported from scheduling", "src/ofdmasched/__init__.py",
+           '"ApplicationProfile Job JobSet load_use_case",\n    "scheduling": "Batch ',
+           '"ApplicationProfile JobSet load_use_case",\n    "scheduling": "Job Batch ',
+           EXPORTS),
 ]
 
 # seconds one pytest run may take: a mutant that makes a scheduler loop

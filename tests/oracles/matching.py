@@ -228,7 +228,7 @@ def lsds_config_search(
     for config in enumerate_configurations(channel_width):
         machines = machines_for_configuration(config, phy)
         matching, jobs = max_profit(pruned, interval, machines)
-        key = (-matching.total_weight, config.sort_key())
+        key = (-matching.total_weight, config.total_rus, config.counts)
         if best is None or key < best[0]:
             best = (key, config, matching, jobs)
     _, config, matching, jobs = best

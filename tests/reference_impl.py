@@ -4,8 +4,8 @@ These walk the same double loop as the production schedulers but solve
 every interval with the Hungarian-based max_profit / configuration search
 of ``oracles.matching``, keeping no incremental state. Pass a list as
 ``log`` to receive each commit's (weight, evicted weight), in the order of
-``LocalSearchStats.commit_log``. Evicted weights are summed left to right,
-as the engine sums them, on every Python version.
+``LocalSearchStats.commit_log``. Evicted weights are summed left to right
+in start order, as the engine sums them, on every Python version.
 """
 
 from oracles.matching import lsds_config_search, max_profit
@@ -24,7 +24,8 @@ def reference_lsdsf(jobset, machines, txop, grid_us, horizon=None, log=None):
             interval = Interval(t_idx * grid_us, (t_idx + l) * grid_us)
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             matching, matched = max_profit(pool, interval, machines)
-            conflicting = [c for c in committed if conflicts(c[0], interval)]
+            conflicting = sorted((c for c in committed if conflicts(c[0], interval)),
+                                 key=lambda c: c[0].start)
             evicted_weight = _fold_sum(c[2] for c in conflicting)
             if matching.total_weight > 2 * evicted_weight:
                 if log is not None:
@@ -49,7 +50,8 @@ def reference_lsds(jobset, channel_width, phy, txop, grid_us, horizon=None, log=
             interval = Interval(t_idx * grid_us, (t_idx + l) * grid_us)
             pool = [j for j in jobset.jobs if j.id not in scheduled]
             config, matching, matched = lsds_config_search(pool, interval, channel_width, phy)
-            conflicting = [c for c in committed if conflicts(c[0], interval)]
+            conflicting = sorted((c for c in committed if conflicts(c[0], interval)),
+                                 key=lambda c: c[0].start)
             evicted_weight = _fold_sum(c[2] for c in conflicting)
             if matching.total_weight > 2 * evicted_weight:
                 if log is not None:

@@ -538,6 +538,14 @@ def assert_same_trajectory(schedule, stats, committed, scheduled, log):
                       Job(2, 2, 0, 32, 0.1, 30), Job(3, 3, 0, 48, 0.1, 30)),
                 horizon=64, seed=0),
          3, RuToneClass.RU26, 2)
+# three batches of inexact weights conflict with [0, 144]: summed in start
+# order, as the engine sums them, they weigh (0.1 + 0.1) + 0.6 = 0.8 and
+# job 3's 1.6 does not beat twice that (in commit order they would weigh
+# 0.7999999999999999)
+@example(JobSet(jobs=(Job(0, 0, 0, 16, 0.1, 20), Job(1, 1, 64, 96, 0.1, 40),
+                      Job(2, 2, 128, 144, 0.6, 20), Job(3, 3, 0, 144, 1.6, 225)),
+                horizon=144, seed=0),
+         1, RuToneClass.RU26, 9)
 def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_units):
     machines = [machine(RuToneClass.RU26, 0)] + \
         [machine(widest, i) for i in range(1, n_machines)]

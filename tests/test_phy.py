@@ -1,11 +1,16 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from ofdmasched.phy import (
     CHANNEL_WIDTHS,
+    TONE_CLASSES,
     Machine,
     PhyProfile,
     RuConfiguration,
     RuToneClass,
+    config_table,
     configuration_index,
     enumerate_configurations,
     full_26_tone_configuration,
@@ -131,9 +136,42 @@ def test_mcs_outside_the_table_rejected(mcs):
 
 
 def test_configuration_index_round_trip():
-    for width in (20, 40):
+    for width in CHANNEL_WIDTHS:
         for i, config in enumerate(enumerate_configurations(width)):
             assert configuration_index(config) == i
+
+
+@pytest.mark.parametrize("width", CHANNEL_WIDTHS)
+def test_configurations_strictly_increase_in_id_order(width):
+    keys = [(c.total_rus, c.counts) for c in enumerate_configurations(width)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_160mhz_configuration_order_is_pinned():
+    # configuration ids fix the first-row tie rule of the engine and the
+    # baselines, so their order must not move
+    counts = [c.counts for c in enumerate_configurations(160)]
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == \
+        "8cfe7da9b4bc4dc18efad865e0f084445618bcc811eed2af87a0c766a57ab485"
+
+
+@pytest.mark.parametrize("width", CHANNEL_WIDTHS)
+def test_config_table_matches_a_per_configuration_build(width):
+    table = config_table(width)
+    configs = enumerate_configurations(width)
+    assert table.configs == configs
+    assert list(table.index.items()) == [(c.counts, i) for i, c in enumerate(configs)]
+    counts = np.array([c.counts for c in configs], dtype=np.int64)
+    suffix = np.array([[sum(c.counts[k:]) for k in range(len(TONE_CLASSES))]
+                       for c in configs], dtype=np.int64)
+    class_mat = np.full((len(configs), max(c.total_rus for c in configs)), -1, dtype=np.int8)
+    for i, cfg in enumerate(configs):
+        classes = [TONE_CLASSES.index(cls) for cls in cfg.ru_classes_desc()]
+        class_mat[i, :len(classes)] = classes
+    for got, want in ((table.counts, counts), (table.suffix, suffix),
+                      (table.class_mat, class_mat)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_phy_rate_anchors():

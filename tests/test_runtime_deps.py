@@ -36,6 +36,39 @@ assert "multiprocessing" not in sys.modules  # only a worker pool imports it
 """
 
 
+# Importing the package and enumerating configurations, as a fresh process
+# does before its first schedule, loads no scheduler-side submodule.
+LAZY_IMPORT = """
+import sys
+import ofdmasched
+from ofdmasched.phy import enumerate_configurations
+from ofdmasched import Job, PhyProfile, Schedule
+assert len(enumerate_configurations(160)) == 1827
+heavy = {"statistics", *(f"ofdmasched.{m}" for m in
+         ("experiment", "simulator", "local_search", "benchmarks", "slotted"))}
+assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))
+"""
+
+
+def test_import_loads_no_scheduler_side_module():
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_are_their_home_modules_objects():
+    modules = [importlib.import_module(f"ofdmasched.{m.name}")
+               for m in pkgutil.iter_modules(ofdmasched.__path__)]
+    listing = dir(ofdmasched)
+    for name in ofdmasched.__all__:
+        homes = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(homes) == 1, name
+        assert getattr(ofdmasched, name) is getattr(homes[0], name), name
+        assert name in listing
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ofdmasched.no_such_name
+
+
 def test_schedulers_run_without_scipy():
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
