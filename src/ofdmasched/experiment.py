@@ -199,6 +199,7 @@ def run(config: ExperimentConfig) -> MetricsRow:
             "dropped": sorted(report.dropped),
             "per_app": report.per_app,
             "runtime_ms": report.runtime_ms,
+            "engine": report.engine,
             "metrics": [r.__dict__ for r in rows],
         }
         if len(rows) > 1:

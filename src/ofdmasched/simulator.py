@@ -190,6 +190,7 @@ class SimulationReport:
     dropped: frozenset[int]
     per_app: dict
     runtime_ms: float
+    engine: dict | None = None  # the engine's LocalSearchStats without commit_log
 
     def __post_init__(self):
         if self.delivered & self.dropped:
@@ -197,20 +198,21 @@ class SimulationReport:
 
 
 def _run_lsds(jobs, width, phy, txop, grid_us):
-    return lsds_run(jobs, width, phy, txop=txop, grid_us=grid_us)[0]
+    return lsds_run(jobs, width, phy, txop=txop, grid_us=grid_us)
 
 
 def _run_lsdsf(jobs, width, phy, txop, grid_us):
     config = full_26_tone_configuration(width)
     machines = machines_for_configuration(config, phy)
-    return lsdsf_run(jobs, machines, txop=txop, grid_us=grid_us, config=config)[0]
+    return lsdsf_run(jobs, machines, txop=txop, grid_us=grid_us, config=config)
 
 
 def _run_benchmark(kind, jobs, width, phy, txop, grid_us):
-    return greedy_benchmark(kind, jobs, width, phy, txop=txop)
+    return greedy_benchmark(kind, jobs, width, phy, txop=txop), None
 
 
-# name -> runner(jobs, channel_width, phy, txop, grid_us) -> Schedule; the runners
+# name -> runner(jobs, channel_width, phy, txop, grid_us) -> (Schedule, stats), where
+# stats is the engine's LocalSearchStats, or None for the baselines; the runners
 # reach the schedulers through this module's globals, which tracing wraps.
 SCHEDULERS = {
     "lsds": _run_lsds,
@@ -239,7 +241,7 @@ def run_scenario(
         raise ValueError(f"unregistered scheduler: {scheduler}")
     phy = scenario.phy()
     t0 = time.perf_counter()
-    schedule = SCHEDULERS[scheduler](jobs, channel_width, phy, txop, grid_us)
+    schedule, stats = SCHEDULERS[scheduler](jobs, channel_width, phy, txop, grid_us)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     violations = validate_schedule(schedule, jobs, channel_width, phy, txop)
     if violations:
@@ -263,7 +265,9 @@ def run_scenario(
             dropped.append(job_id)
     report = SimulationReport(
         delivered=delivered, dropped=frozenset(dropped), per_app=per_app,
-        runtime_ms=runtime_ms)
+        runtime_ms=runtime_ms,
+        engine=None if stats is None else
+        {k: v for k, v in vars(stats).items() if k != "commit_log"})
     return report, schedule
 
 

@@ -146,7 +146,8 @@ def _arrivals(profile, horizon, seed, station_base, scope):
     mean_us = 1e6 / profile.gen_rate
     rows = []
     for station in range(station_base, station_base + profile.node_count):
-        rng = _station_rng(seed, scope, station)
+        # only Poisson arrivals and size ranges draw from the station's stream
+        rng = None if periodic and fixed else _station_rng(seed, scope, station)
         if periodic:
             releases = range(0, horizon, profile.period_us)
         else:

@@ -4,8 +4,9 @@ Each entry of ``MUTANTS`` is one deliberate bug: an exact text of a file
 under ``src/`` or ``tests/``, the text that replaces it, and the tests
 that must then fail. For each entry the script copies ``src/``,
 ``tests/`` and ``pytest.ini`` to a temporary directory, applies the edit
-there and runs only the named tests. A named test that still passes is a
-surviving mutant. An old text that does not occur exactly once is an
+there and runs only the named tests; the mutants run concurrently, one
+per CPU, and are reported in table order. A named test that still passes
+is a surviving mutant. An old text that does not occur exactly once is an
 error too: the mutant has gone stale and must be rewritten. Before any
 mutant runs, the named tests must pass on the unchanged copy. A pytest
 run that takes longer than ``TIMEOUT_S`` is stopped and reported as
@@ -28,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,6 +54,8 @@ POOL_ORDER = "tests/test_local_search.py::test_pool_remove_and_add_keep_release_
 JOB_CHECKS = "tests/test_workload.py::test_job_checks_hold_on_every_constructor"
 SCORER = "tests/test_benchmarks.py::test_rounds_match_the_matrix_scorer"
 LSDSF_TRAJECTORY = "tests/test_local_search.py::test_lsdsf_follows_reference_trajectory"
+IDLE = ("tests/test_local_search.py::test_screens_drop_only_starts_the_exact_test_rejects",
+        LSDSF_TRAJECTORY)
 EXPORTS = ("tests/test_runtime_deps.py::test_package_exports_are_their_home_modules_objects",
            "tests/test_runtime_deps.py::test_import_loads_no_scheduler_side_module")
 
@@ -103,6 +108,12 @@ MUTANTS = [
     Mutant("re-screen without its margin", "src/ofdmasched/local_search.py",
            "if bound * (1 + 1e-12) <= 2.0 * conflict_w:", "if bound <= 2.0 * conflict_w:",
            (LSDSF_TRAJECTORY,)),
+    Mutant("idle until one grid step past the next release", "src/ofdmasched/local_search.py",
+           "return -(-release // self.grid)", "return -(-release // self.grid) + 1", IDLE),
+    Mutant("next release from the first fitting group only", "src/ofdmasched/local_search.py",
+           "                    release = min(release, int(g.releases[i]))\n",
+           "                    release = min(release, int(g.releases[i]))\n"
+           "                break\n", IDLE),
     Mutant("conflict sum compensates rounding", "src/ofdmasched/local_search.py",
            "functools.reduce(operator.add, values, 0.0)", '__import__("math").fsum(values)',
            ("tests/test_local_search.py::test_conflict_weight_sums_left_to_right",)),
@@ -181,6 +192,14 @@ def _apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+def _run_mutant(tmp: Path, k: int) -> tuple[int | None, set[str], str]:
+    """Copy the tree, apply mutant ``k`` and run its tests."""
+    tree = tmp / f"mutant{k}"
+    _copy(tree)
+    _apply(tree, MUTANTS[k])
+    return _pytest(tree, MUTANTS[k].tests)
+
+
 def main() -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -193,22 +212,21 @@ def main() -> int:
             print(f"the named tests do not pass unmutated: {sorted(failed)}")
             return 1
         survivors, timeouts = [], []
-        for k, mutant in enumerate(MUTANTS):
-            tree = Path(tmp) / f"mutant{k}"
-            _copy(tree)
-            _apply(tree, mutant)
-            code, failed, output = _pytest(tree, mutant.tests)
-            alive = [t for t in mutant.tests if not _covers(t, failed)]
-            if code is None:
-                timeouts.append(mutant.name)
-                print(f"TIMEOUT  {mutant.name}: its tests ran past {TIMEOUT_S} s")
-            # exit code 1 means tests ran and failed; anything else is not a kill
-            elif code != 1 or alive:
-                survivors.append(mutant.name)
-                print(output)
-                print(f"SURVIVED {mutant.name}: exit {code}, passing {alive}")
-            else:
-                print(f"killed   {mutant.name}")
+        # each worker waits on its own pytest process
+        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+            results = pool.map(partial(_run_mutant, Path(tmp)), range(len(MUTANTS)))
+            for mutant, (code, failed, output) in zip(MUTANTS, results):
+                alive = [t for t in mutant.tests if not _covers(t, failed)]
+                if code is None:
+                    timeouts.append(mutant.name)
+                    print(f"TIMEOUT  {mutant.name}: its tests ran past {TIMEOUT_S} s")
+                # exit code 1 means tests ran and failed; anything else is not a kill
+                elif code != 1 or alive:
+                    survivors.append(mutant.name)
+                    print(output)
+                    print(f"SURVIVED {mutant.name}: exit {code}, passing {alive}")
+                else:
+                    print(f"killed   {mutant.name}")
     killed = len(MUTANTS) - len(survivors) - len(timeouts)
     print(f"{killed} of {len(MUTANTS)} mutants killed, {len(timeouts)} timed out, "
           f"in {time.perf_counter() - t0:.1f} s")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ofdmasched import experiment, simulator
 from ofdmasched.cli import main
 from ofdmasched.experiment import CSV_HEADER, ExperimentConfig, compare, run
-from ofdmasched.local_search import lsdsf_run
+from ofdmasched.local_search import lsds_run, lsdsf_run
 from ofdmasched.phy import (CHANNEL_WIDTHS, PhyProfile, full_26_tone_configuration,
                              machines_for_configuration)
 from ofdmasched.scheduling import (Batch, Interval, dump_schedule, make_schedule,
@@ -44,6 +44,10 @@ def test_run_writes_all_artifacts(tmp_path):
         ("use_case", "UC4"), ("scheduler", "lsds"), ("bandwidth_mhz", 40), ("channel", "ideal"),
         ("seed", 1), ("horizon_us", 50_000), ("txop_us", 4_000), ("grid_us", None), ("reps", 1)]
     assert len(report["delivered"]) + len(report["dropped"]) == len(js)
+    # the engine's counters, without the commit log
+    _, stats = lsds_run(js, 40, PhyProfile())
+    assert report["engine"] == {k: v for k, v in vars(stats).items() if k != "commit_log"}
+    assert report["engine"]["commits"] == len(stats.commit_log) > 0
 
     # schedule round-trips through the text format and still validates
     schedule = parse_schedule((out / "schedule.txt").read_text(),
@@ -102,6 +106,7 @@ def test_reps_aggregate_in_report(tmp_path):
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 4  # header + one row per repetition
     report = json.loads((out / "report.json").read_text())
+    assert report["engine"] is None  # a baseline has no engine counters
     agg = report["aggregate"]
     assert 0 <= agg["profit_ratio_mean"] <= 1
     assert agg["profit_ratio_ci95"] >= 0
@@ -195,7 +200,7 @@ def test_a_failed_scheduler_stage_names_the_scheduler_once():
 def _one_batch_past_the_txop(jobs, width, phy, txop, grid_us):
     config = full_26_tone_configuration(width)
     machines = tuple(machines_for_configuration(config, phy))
-    return make_schedule([Batch(Interval(0, txop + 1), (), machines, config)], {})
+    return make_schedule([Batch(Interval(0, txop + 1), (), machines, config)], {}), None
 
 
 def test_an_infeasible_schedule_fails_the_run_with_exit_1(tmp_path, capsys, monkeypatch):

@@ -79,6 +79,12 @@ JOB_SETS = {
     ("UC4", 200_000, 1): "b28c961a496dc5fb",
 }
 
+# use case -> hash of the per-job-set sha256 digests of dump_jobs at seeds
+# 1, 7 and 42, each at horizons of 1, 50 and 200 ms, in that order: UC2 and
+# UC4 stations draw nothing from their random streams
+JOB_SET_MATRIX = {"UC1": "1da644d81c10bbee", "UC2": "f5b07ceb0cb2999c",
+                  "UC3": "f573dfa054321293", "UC4": "5e5b81412e1290be"}
+
 # use case -> (horizon, best-effort load in Mbps, packet size, golden hash)
 OVERLAYS = {
     "UC4": (100_000, 20.0, 1500, "43f38f7b7e0e57f4"),
@@ -106,6 +112,16 @@ def text_digest(text):
 @pytest.mark.parametrize("case", sorted(JOB_SETS))
 def test_job_set_bytes(case):
     assert text_digest(dump_jobs(load_use_case(*case))) == JOB_SETS[case]
+
+
+@pytest.mark.parametrize("use_case", sorted(JOB_SET_MATRIX))
+def test_job_set_matrix_bytes(use_case):
+    h = hashlib.sha256()
+    for seed in (1, 7, 42):
+        for horizon in (1_000, 50_000, 200_000):
+            h.update(hashlib.sha256(dump_jobs(load_use_case(use_case, horizon, seed))
+                                    .encode()).digest())
+    assert h.hexdigest()[:16] == JOB_SET_MATRIX[use_case]
 
 
 @pytest.mark.parametrize("use_case,scheduler", sorted(SCHEDULES))

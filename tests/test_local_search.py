@@ -498,6 +498,12 @@ def micro_instances(draw, max_jobs=7):
 evicting_instances = st.builds(evicting_instance, st.integers(1, 8), st.integers(2, 4),
                                st.integers(1, 25), st.integers(26, 50))
 
+# job 0 commits on [0, 16]; [32, 48] still carries its chunk value but has
+# no items, and job 1's release is the next: it commits exactly there, on
+# [48, 64]. Job 2, of the first group by profit, is released later.
+COMMIT_ON_THE_NEXT_RELEASE = JobSet(jobs=(Job(0, 0, 0, 64, 4.0, 20), Job(1, 1, 48, 64, 2.0, 20),
+                                          Job(2, 2, 60, 80, 8.0, 20)), horizon=64, seed=0)
+
 
 def assert_same_trajectory(schedule, stats, committed, scheduled, log):
     assert stats.commit_log == log
@@ -546,6 +552,7 @@ def assert_same_trajectory(schedule, stats, committed, scheduled, log):
                       Job(2, 2, 128, 144, 0.6, 20), Job(3, 3, 0, 144, 1.6, 225)),
                 horizon=144, seed=0),
          1, RuToneClass.RU26, 9)
+@example(COMMIT_ON_THE_NEXT_RELEASE, 1, RuToneClass.RU26, 1)
 def test_lsdsf_follows_reference_trajectory(jobset, n_machines, widest, txop_units):
     machines = [machine(RuToneClass.RU26, 0)] + \
         [machine(widest, i) for i in range(1, n_machines)]
@@ -670,9 +677,12 @@ def test_tightened_values_are_the_scalar_greedy_values(jobset, txop_units, sched
         else:
             _, stats = lsds_run(jobset, int(scheduler[4:]), PHY0, txop=16 * txop_units,
                                 grid_us=16)
-    # each start of a tightened chunk is dropped or evaluated, unless an
-    # eviction ends its sweep first
-    assert stats.bound_rejects == sum(chunks) - stats.exact_evaluations or stats.evictions
+    # each survivor is dropped by a bound, skipped as idle (inside a chunk,
+    # or jumped over before one is tightened) or evaluated, unless an
+    # eviction ends its sweep first; only idle starts go untightened
+    assert stats.bound_rejects + stats.idle_starts == \
+        stats.sweep_survivors - stats.exact_evaluations or stats.evictions
+    assert stats.sweep_survivors - sum(chunks) <= stats.idle_starts or stats.evictions
     assert stats.bound_rejects + stats.exact_evaluations <= sum(chunks) <= stats.sweep_survivors
 
 
@@ -685,6 +695,60 @@ def run_crowded(jobset, txop, scheduler):
     if scheduler == "lsdsf":
         return lsdsf_run(jobset, TWO_CLASSES, txop=txop, grid_us=16)
     return lsds_run(jobset, int(scheduler[4:]), PHY0, txop=txop, grid_us=16)
+
+
+# ---- every screen drops only starts the exact test rejects -----------------
+
+
+def checking_sweep():
+    """``_Engine._sweep`` that checks, at the moment it runs, that every
+    start it drops fails the exact commit test."""
+    sweep = local_search._Engine._sweep
+
+    def checked(self, l_units, from_idx, to_idx):
+        kept = sweep(self, l_units, from_idx, to_idx)
+        length = l_units * self.grid
+        for idx in sorted(set(range(from_idx, to_idx)) - set(kept.tolist())):
+            t1 = idx * self.grid
+            lo, hi = self._conflict_range(t1, t1 + length)
+            exact = _greedy(self._items_for(t1, t1 + length), self.suffix_caps)[0]
+            assert exact <= 2.0 * local_search._fold_sum(self.weights[lo:hi])
+        return kept
+
+    return checked
+
+
+def checking_idle(idles):
+    """``_Engine._next_release`` that checks, at the moment a start finds
+    no items, that no grid start from it to the index returned has any,
+    and records each (start, index returned)."""
+    next_release = local_search._Engine._next_release
+
+    def checked(self, t1, length):
+        idle_until = next_release(self, t1, length)
+        start = t1 // self.grid
+        assert idle_until > start
+        for idx in range(start, min(idle_until, self.t_units - length // self.grid + 1)):
+            assert not self._items_for(idx * self.grid, idx * self.grid + length)
+        idles.append((start, idle_until))
+        return idle_until
+
+    return checked
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(crowded_instances(profits=NEAR_TIES, max_jobs=12), st.integers(1, 6),
+       st.sampled_from(["lsds20", "lsds40", "lsdsf"]))
+@example(COMMIT_ON_THE_NEXT_RELEASE, 1, "lsdsf")
+def test_screens_drop_only_starts_the_exact_test_rejects(jobset, txop_units, scheduler):
+    chunks, idles = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_search._Engine, "_sweep", checking_sweep())
+        mp.setattr(local_search._Engine, "_tighten", checking_tighten(chunks))
+        mp.setattr(local_search._Engine, "_next_release", checking_idle(idles))
+        _, stats = run_crowded(jobset, 16 * txop_units, scheduler)
+    # only a start with no items idles the scan
+    assert len(idles) <= stats.exact_evaluations
 
 
 def trajectory(stats):
